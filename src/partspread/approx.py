@@ -17,14 +17,15 @@ from typing import Optional
 
 from . import guards
 from .bounds import exceeds_log2
-from .errors import DomainError, IntegrityError, PreconditionError
+from .errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from .exact import ExactPow, as_fraction
 from .report import FAIL, INFO, PASS, SKIPPED, Record
-from .setfam import ElementSet, SetFamily, restrict, star_count, stars
+from .setfam import ElementSet, SetFamily, mask_indices, restrict, star_count, stars
 from .spread import (
-    _candidate_counts,
+    candidate_counts,
     find_max_violating,
     is_r_spread,
+    level_summary,
     spread_factor,
     weak_spread,
 )
@@ -200,9 +201,10 @@ def verify_approx(
         gate_spread = exceeds_log2(r / 2**12, 2 * k_max)
     gate_r_2q = r >= 2 * q
     gate_r0 = r0 > r
-    gate_ambient = None
-    if sum(2 ** m.bit_count() for m in a.masks) <= guards.SPREAD_CANDIDATE_MAX:
+    try:
         gate_ambient, _ = is_r_spread(a, r0)
+    except ResourceLimitError:
+        gate_ambient = None
     gates_hold = bool(gate_spread) and gate_r_2q and gate_r0
 
     # the remainder bound presumes an r0-spread ambient family, and the
@@ -290,16 +292,7 @@ def verify_approx(
 
 
 def _canonical_member_order(fam: SetFamily) -> list[int]:
-    return sorted(fam.masks, key=lambda m: (m.bit_count(), _index_tuple(m)))
-
-
-def _index_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return sorted(fam.masks, key=lambda m: (m.bit_count(), mask_indices(m)))
 
 
 def _is_t_intersecting(masks: list[int], t: int) -> bool:
@@ -315,8 +308,7 @@ def _is_t_intersecting(masks: list[int], t: int) -> bool:
 
 def _submasks_of_size(mask: int, size: int) -> list[int]:
     """Submasks with `size` bits, in lexicographic order of their index tuples."""
-    idx = _index_tuple(mask)
-    return [sum(1 << i for i in c) for c in combinations(idx, size)]
+    return [sum(1 << i for i in c) for c in combinations(mask_indices(mask), size)]
 
 
 def minimize_t_intersecting(s: SetFamily, t: int, p: int) -> SetFamily:
@@ -378,15 +370,18 @@ def _forbidden_restriction_exists(
     """Search for G ⊆ fam(X) with |G| > 1 and spread factor > bound.
 
     Returns (found, scanned); found is None when the scan would exceed the
-    guard (reported as skipped by the caller).
+    scan guard or the candidate guard (reported as skipped by the caller).
     """
     if fam.size <= 1:
         return False, 0
-    x_candidates = [0] + sorted(_candidate_counts(fam, unguarded=True))
+    try:
+        counts = candidate_counts(fam)
+    except ResourceLimitError:
+        return None, 0
+    x_candidates = [0] + sorted(counts)
     total = 0
     for x in x_candidates:
-        cnt = sum(1 for m in fam.masks if m & x == x)
-        total += 2**cnt
+        total += 2 ** (counts[x] if x else fam.size)
         if total > scan_guard:
             return None, total
     scanned = 0
@@ -574,12 +569,10 @@ def check_dominance(
     trivial = common.bit_count() >= t
     recs: list[Record] = []
 
-    counts = _candidate_counts(a, unguarded=True)
-    t_masks = [m for m in counts if m.bit_count() == t]
-    if not t_masks:
+    levels = level_summary(candidate_counts(a))
+    if t not in levels:
         raise DomainError(f"no member of the ambient family has size >= {t}")
-    best = max(t_masks, key=lambda m: (counts[m], -m))
-    at_count = counts[best]
+    at_count, best = levels[t]
 
     if trivial:
         # the comparison is not claimed for a family with a common t-set;

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import guards
 from .approx import (
@@ -51,6 +51,7 @@ from .setfam import (
     covering_number,
     family_from_text,
     family_to_text,
+    mask_indices,
 )
 from .spread import find_sunflower, is_r_spread, spread_factor, weak_spread
 from .verify import (
@@ -79,10 +80,8 @@ GUARD_FLAGS = {
 class RunConfig:
     command: str
     args: argparse.Namespace
-    seed: int = 0
     out: str | None = None
     fmt: str = "text-table"
-    guard_overrides: dict = field(default_factory=dict)
 
 
 def _parse_profile(text: str) -> Profile:
@@ -323,7 +322,7 @@ def _run_reduce(args) -> list[Record]:
                 {"t": args.t, "p": args.q},
                 s.size,
                 out.size,
-                ";".join(str(sorted(m_indices(m))) for m in out.masks),
+                ";".join(str(mask_indices(m)) for m in out.masks),
                 INFO,
             )
         ]
@@ -343,15 +342,6 @@ def _run_reduce(args) -> list[Record]:
         rep = check_dominance(ambient, s, args.t, parse_ratio(args.eps), r=r)
         return rep.records()
     raise DomainError(f"unknown reduce op {args.what!r}")
-
-
-def m_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _run_extremal(args) -> list[Record]:
@@ -471,7 +461,6 @@ HANDLERS = {
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="reserved; runs are single-threaded")
     p.add_argument("--out", type=str, default=None)
     p.add_argument(
         "--format", choices=("text-table", "structured-records"), default="text-table"
@@ -579,16 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_guards(args) -> tuple[dict, dict]:
-    overrides = {}
+def _apply_guards(args) -> dict:
     previous = {}
     for flag, attr in GUARD_FLAGS.items():
         val = getattr(args, f"guard_{flag.replace('-', '_')}", None)
         if val is not None:
             previous[attr] = getattr(guards, attr)
             setattr(guards, attr, val)
-            overrides[attr] = val
-    return overrides, previous
+    return previous
 
 
 def run(config: RunConfig) -> int:
@@ -617,14 +604,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    overrides, previous = _apply_guards(args)
+    previous = _apply_guards(args)
     config = RunConfig(
         command=args.command,
         args=args,
-        seed=getattr(args, "seed", 0),
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "text-table"),
-        guard_overrides=overrides,
     )
     try:
         return run(config)

@@ -24,6 +24,31 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, in integers (Newton from above)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _primitive_root(base: Fraction) -> tuple[Fraction, int]:
+    """(c, k) with c**k == base and c not a perfect power of a rational."""
+    n, d, k = base.numerator, base.denominator, 1
+    p = 2
+    while p <= max(n, d).bit_length():
+        rn, rd = _iroot(n, p), _iroot(d, p)
+        if rn**p == n and rd**p == d:
+            n, d, k = rn, rd, k * p
+        else:
+            p += 1
+    return Fraction(n, d), k
+
+
 @total_ordering
 class ExactPow:
     """The positive real base**exponent, compared without floating point."""
@@ -80,11 +105,18 @@ class ExactPow:
         return self._cmp(other) < 0
 
     def __hash__(self) -> int:
+        # equal values must hash equal: write the value as root**exponent with
+        # a root that is no perfect power, which makes the pair unique, and
+        # hash an integer exponent as the rational value itself
         if self.infinite:
             return hash("ExactPow.inf")
-        if self.exponent == 1:
-            return hash(self.base)
-        return hash((self.base, self.exponent))
+        if self.base == 1:
+            return hash(1)
+        root, k = _primitive_root(self.base)
+        exponent = self.exponent * k
+        if exponent.denominator == 1:
+            return hash(root**exponent.numerator)
+        return hash((root, exponent))
 
     def __float__(self) -> float:
         if self.infinite:

@@ -12,7 +12,8 @@ ENUM_MAX_N = 13
 # enumerate_profiled: largest family we materialize.
 PROFILED_ENUM_MAX = 10**7
 
-# spread_factor / weak_spread: total candidate restriction sets scanned.
+# every spreadness scan (spread_factor, weak_spread, is_r_spread and the
+# reduction/dominance checks): total candidate restriction sets counted.
 SPREAD_CANDIDATE_MAX = 10**7
 
 # find_sunflower: family size cap.

@@ -122,6 +122,16 @@ def same_universe(u, v) -> bool:
     return False  # parts universes are identified by identity (lazy indices)
 
 
+def mask_indices(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class ElementSet:
     """An immutable subset of a universe, stored as a bitmask."""
 
@@ -151,13 +161,7 @@ class ElementSet:
         return self.mask.bit_count()
 
     def indices(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return mask_indices(self.mask)
 
     def union(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.universe, self.mask | other.mask)
@@ -380,7 +384,7 @@ def family_to_text(f: SetFamily) -> str:
     """Line format: 'N <universe-size>' then one member per line of indices."""
     lines = [f"N {f.universe.size}"]
     for m in f.masks:
-        lines.append(" ".join(str(i) for i in ElementSet(f.universe, m).indices()))
+        lines.append(" ".join(str(i) for i in mask_indices(m)))
     return "\n".join(lines) + "\n"
 
 

@@ -19,18 +19,17 @@ from .setfam import ElementSet, SetFamily, restrict
 from . import guards
 
 
-def _candidate_counts(
-    f: SetFamily, guard: int | None = None, unguarded: bool = False
-) -> dict[int, int]:
-    """Map each nonempty submask of a member to |F[X]|, the members containing it."""
-    if not unguarded:
-        limit = guards.effective(guard, guards.SPREAD_CANDIDATE_MAX)
-        total = sum(2 ** m.bit_count() for m in f.masks)
-        if total > limit:
-            raise ResourceLimitError(
-                f"SPREAD_CANDIDATE_MAX: {total} candidate sets exceed the "
-                f"guard {limit}; use is_r_spread with an explicit r instead"
-            )
+def candidate_counts(f: SetFamily, guard: int | None = None) -> dict[int, int]:
+    """Map each nonempty submask of a member to |F[X]|, the members containing it.
+
+    Refused above SPREAD_CANDIDATE_MAX (or `guard`) before the map is built.
+    """
+    limit = guards.effective(guard, guards.SPREAD_CANDIDATE_MAX)
+    total = sum(2 ** m.bit_count() for m in f.masks)
+    if total > limit:
+        raise ResourceLimitError(
+            f"SPREAD_CANDIDATE_MAX: {total} candidate sets exceed the guard {limit}"
+        )
     counts: dict[int, int] = {}
     for m in f.masks:
         sub = m
@@ -40,8 +39,47 @@ def _candidate_counts(
     return counts
 
 
-def _canonical_order(masks: Iterable[int]) -> list[int]:
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+def level_summary(counts: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Map each candidate size s to (max count at size s, least mask with it)."""
+    out: dict[int, tuple[int, int]] = {}
+    for mask, cnt in counts.items():
+        s = mask.bit_count()
+        best = out.get(s)
+        if best is None or cnt > best[0] or (cnt == best[0] and mask < best[1]):
+            out[s] = (cnt, mask)
+    return out
+
+
+def _least_ratio(
+    levels: Iterable[tuple[int, tuple[int, int]]], top: int
+) -> tuple[Optional[ExactPow], Optional[int]]:
+    """min over (s, (cnt, mask)) of (top/cnt)^(1/s); ties keep the first level."""
+    best: Optional[ExactPow] = None
+    best_mask = None
+    for s, (cnt, mask) in levels:
+        value = ExactPow(Fraction(top, cnt), Fraction(1, s))
+        if best is None or value < best:
+            best = value
+            best_mask = mask
+    return best, best_mask
+
+
+def _violator(
+    f: SetFamily, counts: dict[int, int], r: Fraction, largest: bool
+) -> Optional[int]:
+    """Least mask X with |F(X)| r^|X| > |F| at the smallest (or largest) such size."""
+    p, q = r.numerator, r.denominator
+    sizes = [
+        s for s, (cnt, _) in level_summary(counts).items()
+        if cnt * p**s > f.size * q**s
+    ]
+    if not sizes:
+        return None
+    s = max(sizes) if largest else min(sizes)
+    lhs_scale, rhs = p**s, f.size * q**s
+    return min(
+        m for m, cnt in counts.items() if m.bit_count() == s and cnt * lhs_scale > rhs
+    )
 
 
 @dataclass
@@ -59,38 +97,32 @@ class SpreadReport:
         )
 
 
-def spread_factor(f: SetFamily, guard: int | None = None) -> SpreadReport:
-    """max r such that f is r-spread: min over X of (|F|/|F(X)|)^(1/|X|)."""
-    if f.size == 0:
-        raise DomainError("spread factor of an empty family")
-    counts = _candidate_counts(f, guard=guard)
-    best: Optional[ExactPow] = None
-    best_mask = None
-    for mask in _canonical_order(counts):
-        value = ExactPow(Fraction(f.size, counts[mask]), Fraction(1, mask.bit_count()))
-        if best is None or value < best:
-            best = value
-            best_mask = mask
+def spread_from_counts(f: SetFamily, counts: dict[int, int]) -> SpreadReport:
+    """spread_factor of f from its candidate_counts map."""
+    best, best_mask = _least_ratio(sorted(level_summary(counts).items()), f.size)
     if best is None:
         return SpreadReport(ExactPow.infinity(), None, 0)
     return SpreadReport(best, ElementSet(f.universe, best_mask), len(counts))
 
 
-def is_r_spread(
-    f: SetFamily, r
-) -> tuple[bool, Optional[ElementSet]]:
-    """Exact test of |F(X)| * r^|X| <= |F| for all X; returns a violator if any."""
+def spread_factor(f: SetFamily, guard: int | None = None) -> SpreadReport:
+    """max r such that f is r-spread: min over X of (|F|/|F(X)|)^(1/|X|)."""
+    if f.size == 0:
+        raise DomainError("spread factor of an empty family")
+    return spread_from_counts(f, candidate_counts(f, guard=guard))
+
+
+def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
+    """Exact test of |F(X)| * r^|X| <= |F| for all X; returns a violator if any.
+
+    The violator is the least mask of the smallest violating size.
+    """
     if f.size == 0:
         raise DomainError("spreadness of an empty family")
-    r = as_fraction(r)
-    p, q = r.numerator, r.denominator
-    counts = _candidate_counts(f, unguarded=True)
-    size = f.size
-    for mask in _canonical_order(counts):
-        s = mask.bit_count()
-        if counts[mask] * p**s > size * q**s:
-            return False, ElementSet(f.universe, mask)
-    return True, None
+    mask = _violator(f, candidate_counts(f), as_fraction(r), largest=False)
+    if mask is None:
+        return True, None
+    return False, ElementSet(f.universe, mask)
 
 
 def weak_spread(
@@ -98,7 +130,7 @@ def weak_spread(
 ) -> tuple[ElementSet, ExactPow, Optional[ElementSet]]:
     """Best weak (r, t)-spreadness data of a family.
 
-    Picks the t-set T maximizing |a(T)| (ties lexicographic) and returns the
+    Picks the t-set T maximizing |a(T)| (ties to the least mask) and returns the
     largest r such that |a(U)| <= r^(-s) |a(T)| for every (t+s)-set U with
     s >= 1, together with the minimizing U.
     """
@@ -106,25 +138,13 @@ def weak_spread(
         raise DomainError("weak_spread needs t >= 0")
     if a.size == 0:
         raise DomainError("weak_spread of an empty family")
-    if t == 0:
-        rep = spread_factor(a, guard=guard)
-        return ElementSet(a.universe, 0), rep.r_star, rep.witness
     if a.max_size() < t:
         raise DomainError(f"no member has size >= t = {t}")
-    counts = _candidate_counts(a, guard=guard)
-    t_candidates = [m for m in counts if m.bit_count() == t]
-    best_t = max(t_candidates, key=lambda m: (counts[m], -m))
-    t_count = counts[best_t]
-    best: Optional[ExactPow] = None
-    best_mask = None
-    for mask in _canonical_order(counts):
-        s = mask.bit_count() - t
-        if s < 1:
-            continue
-        value = ExactPow(Fraction(t_count, counts[mask]), Fraction(1, s))
-        if best is None or value < best:
-            best = value
-            best_mask = mask
+    levels = level_summary(candidate_counts(a, guard=guard))
+    t_count, best_t = levels[t] if t else (a.size, 0)
+    best, best_mask = _least_ratio(
+        ((s - t, levels[s]) for s in sorted(levels) if s > t), t_count
+    )
     if best is None:
         return ElementSet(a.universe, best_t), ExactPow.infinity(), None
     return ElementSet(a.universe, best_t), best, ElementSet(a.universe, best_mask)
@@ -182,7 +202,7 @@ def find_spread_subfamily(
 ) -> tuple[ElementSet, SetFamily]:
     """An alpha-spread restriction F(X) of a k-uniform family with |F| > alpha^k.
 
-    Takes the largest X violating alpha-spreadness (ties lexicographic);
+    Takes the largest X violating alpha-spreadness (ties to the least mask);
     with no violator the family itself is returned with X empty.
     """
     if f.size == 0:
@@ -196,15 +216,7 @@ def find_spread_subfamily(
         raise PreconditionError(
             f"|F| = {f.size} does not exceed alpha^k = {alpha}**{k}"
         )
-    p, q = alpha.numerator, alpha.denominator
-    counts = _candidate_counts(f, guard=guard)
-    best_mask = None
-    best_size = -1
-    for mask in _canonical_order(counts):
-        s = mask.bit_count()
-        if counts[mask] * p**s > f.size * q**s and s > best_size:
-            best_size = s
-            best_mask = mask
+    best_mask = _violator(f, candidate_counts(f, guard=guard), alpha, largest=True)
     if best_mask is None:
         return ElementSet(f.universe, 0), f
     x = ElementSet(f.universe, best_mask)
@@ -257,7 +269,7 @@ def find_sunflower(
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             cores.add(masks[i] & masks[j])
-    for core in _canonical_order(cores):
+    for core in sorted(cores, key=lambda m: (m.bit_count(), m)):
         residues = [
             (m & ~core, pos) for pos, m in enumerate(masks) if m & core == core
         ]

@@ -40,7 +40,7 @@ from .partitions import (
 )
 from .report import FAIL, FINDING, INFO, PASS, VACUOUS, CheckReport
 from .setfam import ElementSet, SetFamily
-from .spread import _candidate_counts, is_r_spread, spread_factor, weak_spread
+from .spread import candidate_counts, is_r_spread, spread_factor, spread_from_counts, weak_spread
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,8 @@ def _spreadness_kl_edges(k, l, mode, guard) -> CheckReport:
     if mode in ("direct", "both"):
         universe = enumerate_profiled(Profile.uniform(k, l))
         u, fam = encode_family_edges(universe)
-        rstar = spread_factor(fam, guard=guard).r_star
+        counts = candidate_counts(fam, guard=guard)
+        rstar = spread_from_counts(fam, counts).r_star
         threshold = ExactPow(Fraction(l, 9), Fraction(2, 3 * k))
         ok = rstar >= threshold
         rep.add(
@@ -416,7 +417,6 @@ def _spreadness_kl_edges(k, l, mode, guard) -> CheckReport:
         )
         # per-candidate scan: |F(E)| * l^m <= 9^m |F| for m <= kl/3,
         # and the cube-root variant for every candidate
-        counts = _candidate_counts(fam, guard=guard)
         worst = None
         worst3 = None
         for mask, cnt in counts.items():

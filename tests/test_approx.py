@@ -12,7 +12,8 @@ from partspread.approx import (
     verify_approx,
 )
 from partspread.encoding import encode_family_edges
-from partspread.errors import IntegrityError, PreconditionError
+from partspread import guards
+from partspread.errors import IntegrityError, PreconditionError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
 from partspread.partitions import Profile, enumerate_uniform
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict
@@ -222,6 +223,23 @@ def test_forbidden_restriction_detector():
     big = ksubsets_family(10, 5)
     found, _ = _forbidden_restriction_exists(big, 2, 10)
     assert found is None
+
+
+def test_candidate_guard_skips_scans(monkeypatch):
+    from partspread.approx import _forbidden_restriction_exists
+
+    monkeypatch.setattr(guards, "SPREAD_CANDIDATE_MAX", 10)
+    # 6 pairs have 24 candidate sets: the reduction scan is skipped, not run
+    assert _forbidden_restriction_exists(ksubsets_family(4, 2), 1, 10**6) == (None, 0)
+    # the ambient r0-spreadness gate is skipped; the small core checks still run
+    f = family_of(5, {0, 1}, {0, 2})
+    res = spread_approximate(f, 2, 2)
+    verdict = verify_approx(res, f, ksubsets_family(5, 2), 2, 4, 2, 1)
+    assert verdict.gate_ambient_spread is None
+    gate = [r for r in verdict.records() if "gate=gate-ambient-r0-spread" in r.params]
+    assert [r.verdict for r in gate] == ["skipped"]
+    with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
+        check_dominance(ksubsets_family(5, 2), family_of(5, {0, 1}), 1, 1)
 
 
 def test_reduction_sequence_preconditions():

@@ -128,6 +128,12 @@ def test_guard_flag_and_exit_codes(capsys):
     assert code == 2
 
 
+def test_spread_check_obeys_guard(capsys):
+    code = main(["spread", "check", "--family", "bell:5", "--r", "2", "--guard-spread", "100"])
+    assert code == 2
+    assert "SPREAD_CANDIDATE_MAX" in capsys.readouterr().err
+
+
 def test_structured_records_format(capsys):
     code, out = run_cli(
         capsys, "count", "bell", "--n", "6", "--format", "structured-records"

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import family_of, ksubsets_family
+from partspread import spread
+from partspread.approx import check_dominance
 from partspread.encoding import decode_parts
 from partspread.errors import DomainError, PreconditionError, ResourceLimitError
 from partspread.exact import ExactPow
 from partspread.partitions import Partition, bell
-from partspread.setfam import PlainUniverse, SetFamily, restrict
+from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict
 from partspread.spread import (
+    candidate_counts,
     find_max_violating,
     find_spread_subfamily,
     find_sunflower,
@@ -283,3 +288,191 @@ def test_find_sunflower_guard():
         find_sunflower(f, 2, guard=2)
     with pytest.raises(DomainError):
         find_sunflower(f, 0)
+
+
+def test_is_r_spread_guard():
+    f = SetFamily(PlainUniverse(40), [(1 << 40) - 1])
+    with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
+        is_r_spread(f, 2)
+    with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
+        candidate_counts(ksubsets_family(4, 2), guard=23)
+    assert len(candidate_counts(ksubsets_family(4, 2), guard=24)) == 10
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the kernel against a brute canonical-order scan
+
+
+def ref_counts(f: SetFamily) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for m in f.masks:
+        sub = m
+        while sub:
+            counts[sub] = counts.get(sub, 0) + 1
+            sub = (sub - 1) & m
+    return counts
+
+
+def ref_order(counts) -> list[int]:
+    return sorted(counts, key=lambda m: (m.bit_count(), m))
+
+
+def ref_least_ratio(counts, top: int, skip: int):
+    """First minimum of (top/count)^(1/(|X| - skip)) over |X| > skip, canonical order."""
+    best, best_mask = None, None
+    for mask in ref_order(counts):
+        s = mask.bit_count() - skip
+        if s < 1:
+            continue
+        value = ExactPow(Fraction(top, counts[mask]), Fraction(1, s))
+        if best is None or value < best:
+            best, best_mask = value, mask
+    return best, best_mask
+
+
+def ref_violators(f: SetFamily, r) -> list[int]:
+    r = Fraction(r)
+    counts = ref_counts(f)
+    return [
+        m for m in ref_order(counts)
+        if counts[m] * r.numerator ** m.bit_count() > f.size * r.denominator ** m.bit_count()
+    ]
+
+
+def ref_is_r_spread(f: SetFamily, r):
+    found = ref_violators(f, r)
+    return (True, None) if not found else (False, ElementSet(f.universe, found[0]))
+
+
+def ref_best_t(counts, t: int) -> int:
+    return max((m for m in counts if m.bit_count() == t), key=lambda m: (counts[m], -m))
+
+
+UNIVERSE = 6
+masks_st = st.lists(st.integers(0, (1 << UNIVERSE) - 1), min_size=1, max_size=12)
+ratio_st = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+
+
+def plain(masks) -> SetFamily:
+    return SetFamily(PlainUniverse(UNIVERSE), masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_st)
+def test_spread_factor_matches_reference(masks):
+    f = plain(masks)
+    counts = ref_counts(f)
+    best, best_mask = ref_least_ratio(counts, f.size, 0)
+    rep = spread_factor(f)
+    assert rep.scanned == len(counts)
+    if best is None:
+        assert rep.r_star.infinite and rep.witness is None
+    else:
+        assert rep.r_star == best and rep.witness.mask == best_mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_st, ratio_st)
+def test_is_r_spread_matches_reference(masks, r):
+    f = plain(masks)
+    assert is_r_spread(f, r) == ref_is_r_spread(f, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_st)
+def test_weak_spread_matches_reference(masks):
+    f = plain(masks)
+    counts = ref_counts(f)
+    for t in range(0, f.max_size() + 1):
+        best_t = ref_best_t(counts, t) if t else 0
+        best, best_mask = ref_least_ratio(counts, counts[best_t] if t else f.size, t)
+        t_set, r, witness = weak_spread(f, t)
+        assert t_set.mask == best_t
+        if best is None:
+            assert r.infinite and witness is None
+        else:
+            assert r == best and witness.mask == best_mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_st.filter(lambda ms: any(ms)))
+def test_check_dominance_best_t_matches_reference(masks):
+    f = plain(masks)
+    counts = ref_counts(f)
+    member = max(f.masks, key=lambda m: (m.bit_count(), -m))
+    for t in range(1, member.bit_count() + 1):
+        rep = check_dominance(f, plain([member]), t, Fraction(1, 2))
+        assert rep.best_t_set.mask == ref_best_t(counts, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_st, st.builds(Fraction, st.integers(7, 30), st.integers(1, 6)))
+def test_find_max_violating_matches_reference(masks, r):
+    f = plain(masks)
+    got = find_max_violating(f, r)
+    with mock.patch.object(spread, "is_r_spread", ref_is_r_spread):
+        expected = find_max_violating(f, r)
+    assert got.mask == expected.mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.sampled_from(list(combinations(range(UNIVERSE), k))), min_size=1, max_size=20
+        )
+    ),
+    ratio_st,
+)
+def test_find_spread_subfamily_matches_reference(members, alpha):
+    f = family_of(UNIVERSE, *members)
+    k = len(members[0])
+    if not Fraction(f.size) > alpha**k:
+        return
+    found = ref_violators(f, alpha)
+    x, sub = find_spread_subfamily(f, alpha)
+    if not found:
+        assert x.size == 0 and sub == f
+    else:
+        largest = max(m.bit_count() for m in found)
+        expected = min(m for m in found if m.bit_count() == largest)
+        assert x.mask == expected and sub == restrict(f, x)
+
+
+# ---------------------------------------------------------------------------
+# ExactPow: equal values hash equal
+
+root_st = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+exponent_st = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+
+
+@given(root_st, exponent_st, st.integers(1, 4), st.integers(1, 4))
+def test_exactpow_equal_representations_hash_equal(c, e, j1, j2):
+    # c**(j*e') with base c**j and exponent e'/j are the same value
+    a = ExactPow(c**j1, e / j1)
+    b = ExactPow(c**j2, e / j2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@given(root_st, st.integers(1, 6), st.integers(1, 4))
+def test_exactpow_hash_matches_rationals(c, m, j):
+    a = ExactPow(c**j, Fraction(m, j))
+    value = c**m
+    assert a == value and hash(a) == hash(value)
+    if value.denominator == 1:
+        assert a == int(value) and hash(a) == hash(int(value))
+
+
+values_st = st.one_of(
+    st.builds(ExactPow, root_st, exponent_st),
+    st.builds(lambda c, j, e: ExactPow(c**j, e), root_st, st.integers(1, 3), exponent_st),
+    st.integers(1, 50),
+    root_st,
+)
+
+
+@given(values_st, values_st)
+def test_exactpow_eq_implies_hash_eq(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
