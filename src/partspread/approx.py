@@ -25,7 +25,6 @@ from .spread import (
     candidate_counts,
     find_max_violating,
     is_r_spread,
-    level_summary,
     spread_factor,
     weak_spread,
 )
@@ -364,13 +363,12 @@ class ReductionReport:
         return all(r.verdict != FAIL for r in self.records_list)
 
 
-def _forbidden_restriction_exists(
-    fam: SetFamily, bound: int, scan_guard: int
-) -> tuple[Optional[bool], int]:
+def _forbidden_restriction_exists(fam: SetFamily, bound: int) -> tuple[Optional[bool], int]:
     """Search for G ⊆ fam(X) with |G| > 1 and spread factor > bound.
 
     Returns (found, scanned); found is None when the scan would exceed the
-    scan guard or the candidate guard (reported as skipped by the caller).
+    subfamily_scan_max or the candidate limit (reported as skipped by the
+    caller).
     """
     if fam.size <= 1:
         return False, 0
@@ -379,10 +377,11 @@ def _forbidden_restriction_exists(
     except ResourceLimitError:
         return None, 0
     x_candidates = [0] + sorted(counts)
+    limit = guards.current().subfamily_scan_max
     total = 0
     for x in x_candidates:
         total += 2 ** (counts[x] if x else fam.size)
-        if total > scan_guard:
+        if total > limit:
             return None, total
     scanned = 0
     for x in x_candidates:
@@ -395,7 +394,7 @@ def _forbidden_restriction_exists(
                 g = SetFamily(fam.universe, combo)
                 if g.size < 2:
                     continue
-                rep = spread_factor(g, guard=None)
+                rep = spread_factor(g)
                 if rep.r_star > bound:
                     return True, scanned
     return False, scanned
@@ -407,17 +406,16 @@ def reduction_sequence(
     q: int,
     t: int,
     r=None,
-    scan_guard: int | None = None,
 ) -> tuple[list[tuple[SetFamily, SetFamily]], ReductionReport]:
     """Build the nested families T_0, W_0, T_1, ... and check their properties.
 
     W_i collects the size-(q-i) members of T_i and T_(i+1) re-minimizes the
     rest under the cap q-i-1.  The report checks, per level: (i) size caps,
     (ii) star-coverage inclusion, (iii) absence of a >(q-i-t+1)-spread
-    restricted subfamily with more than one member (skipped above the scan
-    guard), (iv) |W_i| <= (6(q-i))^(q-i-t), and (v) the handoff bound
-    |A[T_(i-1) minus W_(i-1)]| <= (q/r) |A[T]| when T_i first becomes a
-    single t-set.  r defaults to the weak-spreadness factor of the ambient
+    restricted subfamily with more than one member (skipped above the
+    subfamily_scan_max limit), (iv) |W_i| <= (6(q-i))^(q-i-t), and (v) the
+    handoff bound |A[T_(i-1) minus W_(i-1)]| <= (q/r) |A[T]| when T_i first
+    becomes a single t-set.  r defaults to the weak-spreadness factor of the ambient
     family.
     """
     if a.size == 0:
@@ -426,7 +424,6 @@ def reduction_sequence(
         raise PreconditionError(f"some member exceeds q = {q}")
     if not _is_t_intersecting(list(s.masks), t):
         raise PreconditionError("family is not t-intersecting")
-    guard_val = guards.effective(scan_guard, guards.SUBFAMILY_SCAN_MAX)
 
     t_best, r_weak, _ = weak_spread(a, t)
     if r is None:
@@ -454,7 +451,7 @@ def reduction_sequence(
             )
         )
 
-        found, scanned = _forbidden_restriction_exists(t_i, q - i - t + 1, guard_val)
+        found, scanned = _forbidden_restriction_exists(t_i, q - i - t + 1)
         report.add(
             Record.make(
                 "reduction-no-spread-subfamily",
@@ -569,10 +566,10 @@ def check_dominance(
     trivial = common.bit_count() >= t
     recs: list[Record] = []
 
-    levels = level_summary(candidate_counts(a))
-    if t not in levels:
+    if not 1 <= t <= a.max_size():
         raise DomainError(f"no member of the ambient family has size >= {t}")
-    at_count, best = levels[t]
+    best, r_val, _ = weak_spread(a, t)
+    at_count = star_count(a, best)
 
     if trivial:
         # the comparison is not claimed for a family with a common t-set;
@@ -581,22 +578,18 @@ def check_dominance(
         recs.append(
             Record.make(
                 "dominance",
-                {"t": t, "trivial": True, "T": _set_text(ElementSet(a.universe, best))},
+                {"t": t, "trivial": True, "T": _set_text(best)},
                 lhs,
                 at_count,
                 "-",
                 SKIPPED,
             )
         )
-        return DominanceReport(
-            True, ElementSet(a.universe, best), lhs, None, None, None, recs
-        )
+        return DominanceReport(True, best, lhs, None, None, None, recs)
 
     if q is None:
         q = max(m.bit_count() for m in s.masks)
-    if r is None:
-        _, r_val, _ = weak_spread(a, t)
-    else:
+    if r is not None:
         r_val = r if isinstance(r, ExactPow) else ExactPow(as_fraction(r))
     # eps * r >= 24 q  <=>  r >= 24 q / eps
     gate = True if r_val.infinite else r_val >= ExactPow(Fraction(24 * q) / eps)
@@ -607,7 +600,7 @@ def check_dominance(
     recs.append(
         Record.make(
             "dominance",
-            {"t": t, "eps": eps, "T": _set_text(ElementSet(a.universe, best))},
+            {"t": t, "eps": eps, "T": _set_text(best)},
             lhs,
             rhs,
             rhs - lhs,
@@ -624,6 +617,4 @@ def check_dominance(
             PASS if gate else "gated",
         )
     )
-    return DominanceReport(
-        False, ElementSet(a.universe, best), lhs, rhs, ok, gate, recs
-    )
+    return DominanceReport(False, best, lhs, rhs, ok, gate, recs)

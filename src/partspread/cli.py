@@ -64,15 +64,16 @@ from .verify import (
     check_random_containment,
 )
 
+# --guard-<flag> -> the guards.Limits field it sets
 GUARD_FLAGS = {
-    "enum": "ENUM_MAX_N",
-    "profiled": "PROFILED_ENUM_MAX",
-    "spread": "SPREAD_CANDIDATE_MAX",
-    "clique": "CLIQUE_VERTEX_MAX",
-    "sunflower": "SUNFLOWER_FAMILY_MAX",
-    "cover-universe": "COVER_UNIVERSE_MAX",
-    "cover-family": "COVER_FAMILY_MAX",
-    "scan": "SUBFAMILY_SCAN_MAX",
+    "enum": "enum_max_n",
+    "profiled": "profiled_enum_max",
+    "spread": "spread_candidate_max",
+    "clique": "clique_vertex_max",
+    "sunflower": "sunflower_family_max",
+    "cover-universe": "cover_universe_max",
+    "cover-family": "cover_family_max",
+    "scan": "subfamily_scan_max",
 }
 
 
@@ -460,13 +461,12 @@ HANDLERS = {
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.add_argument(
         "--format", choices=("text-table", "structured-records"), default="text-table"
     )
-    for flag in GUARD_FLAGS:
-        p.add_argument(f"--guard-{flag}", type=int, default=None, dest=f"guard_{flag.replace('-', '_')}")
+    for flag, field in GUARD_FLAGS.items():
+        p.add_argument(f"--guard-{flag}", type=int, default=None, dest=field)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10**4)
     p.add_argument("--t-set", type=str)
     p.add_argument("--y", type=str)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("export", help="write a family to the text format")
@@ -566,16 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", type=str, required=True)
     _add_common(p)
     return ap
-
-
-def _apply_guards(args) -> dict:
-    previous = {}
-    for flag, attr in GUARD_FLAGS.items():
-        val = getattr(args, f"guard_{flag.replace('-', '_')}", None)
-        if val is not None:
-            previous[attr] = getattr(guards, attr)
-            setattr(guards, attr, val)
-    return previous
 
 
 def run(config: RunConfig) -> int:
@@ -604,18 +595,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    previous = _apply_guards(args)
     config = RunConfig(
         command=args.command,
         args=args,
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "text-table"),
     )
-    try:
+    flags = vars(args)
+    given = {f: flags[f] for f in GUARD_FLAGS.values() if flags[f] is not None}
+    with guards.limited(**given):
         return run(config)
-    finally:
-        for attr, val in previous.items():
-            setattr(guards, attr, val)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .partitions import Partition, u_count
+from .partitions import Partition, iter_rgs, u_count
 from .setfam import EdgesUniverse, ElementSet, PartsUniverse, SetFamily
 
 
@@ -166,14 +166,15 @@ def count_extensions(k: int, l: int, x: SubPartition) -> int:
 
 
 def _block_groupings(a: int):
-    """All set partitions of block indices 0..a-1 (a is tiny in practice)."""
-    if a == 0:
-        yield []
-        return
-    from .partitions import iter_partitions
+    """All set partitions of block indices 0..a-1 (a is tiny in practice).
 
-    for p in iter_partitions(a, guard=max(a, 13)):
-        yield [[e - 1 for e in block] for block in p.blocks]
+    Groups come in first-seen label order, so their minima increase.
+    """
+    for rgs in iter_rgs(a):
+        groups: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for i, label in enumerate(rgs):
+            groups[label].append(i)
+        yield groups
 
 
 def extension_ratio(k: int, l: int, x: SubPartition) -> Fraction:

@@ -9,6 +9,7 @@ ever appear in display output.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
@@ -107,7 +108,8 @@ class ExactPow:
     def __hash__(self) -> int:
         # equal values must hash equal: write the value as root**exponent with
         # a root that is no perfect power, which makes the pair unique, and
-        # hash an integer exponent as the rational value itself
+        # hash an integer exponent as the rational value itself, computed
+        # modulo the hash prime without building root**exponent
         if self.infinite:
             return hash("ExactPow.inf")
         if self.base == 1:
@@ -115,7 +117,11 @@ class ExactPow:
         root, k = _primitive_root(self.base)
         exponent = self.exponent * k
         if exponent.denominator == 1:
-            return hash(root**exponent.numerator)
+            e, modulus = exponent.numerator, sys.hash_info.modulus
+            den = pow(root.denominator, e, modulus)
+            if den == 0:
+                return sys.hash_info.inf
+            return hash(pow(root.numerator, e, modulus) * pow(den, -1, modulus))
         return hash((root, exponent))
 
     def __float__(self) -> float:

@@ -67,9 +67,7 @@ def _default_anchors(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(anchors)
 
 
-def canonical_family(
-    spec: CanonicalSpec, guard: int | None = None
-) -> tuple[list[Partition], int]:
+def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
     """The family of the given construction plus its exact size.
 
     Sizes match the closed forms: bell -> B_(n-t); blocks -> S(n-t, l-t);
@@ -84,7 +82,7 @@ def canonical_family(
         anchor_set = set(anchors)
         fam = [
             p
-            for p in enumerate_partitions(n, guard=guard)
+            for p in enumerate_partitions(n)
             if anchor_set.issubset(p.blocks)
         ]
         expected = bell(n - t)
@@ -97,7 +95,7 @@ def canonical_family(
         anchor_set = set(anchors)
         fam = [
             p
-            for p in enumerate_into_blocks(n, l, guard=guard)
+            for p in enumerate_into_blocks(n, l)
             if anchor_set.issubset(p.blocks)
         ]
         expected = stirling2(n - t, l - t)
@@ -110,7 +108,7 @@ def canonical_family(
         anchor_set = set(anchors)
         fam = [
             p
-            for p in enumerate_profiled(profile, guard=guard)
+            for p in enumerate_profiled(profile)
             if anchor_set.issubset(p.blocks)
         ]
         rest = Profile(profile.sizes[t:]) if t < profile.num_blocks else None
@@ -130,7 +128,7 @@ def canonical_family(
         tf = frozenset(t_set)
         fam = [
             p
-            for p in enumerate_profiled(profile, guard=guard)
+            for p in enumerate_profiled(profile)
             if any(tf.issubset(b) for b in p.blocks)
         ]
         expected = _partial_expected(profile, t)
@@ -257,14 +255,12 @@ def max_compatible_family(
     universe: Sequence[Partition],
     predicate: str,
     t: int,
-    guard: int | None = None,
     enumerate_all: bool = False,
-    unique_guard: int | None = None,
 ) -> OracleResult:
     """Exact largest pairwise-compatible subfamily of the enumerated universe."""
     if predicate not in PREDICATES:
         raise DomainError(f"unknown predicate {predicate!r}")
-    limit = guards.effective(guard, guards.CLIQUE_VERTEX_MAX)
+    limit = guards.current().clique_vertex_max
     n = len(universe)
     if n > limit:
         raise ResourceLimitError(
@@ -281,7 +277,7 @@ def max_compatible_family(
     witness = [universe[i] for i in vertices]
     all_max = None
     if enumerate_all:
-        cap = guards.effective(unique_guard, guards.CLIQUE_UNIQUE_MAX)
+        cap = guards.current().clique_unique_max
         all_max = _enumerate_maximum_cliques(adj, n, len(vertices), cap)
     return OracleResult(len(vertices), witness, nodes, all_max)
 
@@ -305,20 +301,14 @@ class ConjectureReport:
         return list(self.records_list)
 
 
-def check_conjecture_instance(
-    k: int,
-    l: int,
-    t: int,
-    clique_guard: int | None = None,
-    unique_guard: int | None = None,
-) -> ConjectureReport:
+def check_conjecture_instance(k: int, l: int, t: int) -> ConjectureReport:
     """Oracle maximum for partial t-intersection on uniform (k,l) partitions
     versus the canonical family size, with a witness-uniqueness check when
     all maximum cliques are enumerable."""
     if t > k:
         raise DomainError("need t <= k: no block can contain the anchor set")
     total = u_count(k, l)
-    limit = guards.effective(clique_guard, guards.CLIQUE_VERTEX_MAX)
+    limit = guards.current().clique_vertex_max
     if total > limit:
         raise ResourceLimitError(
             f"CLIQUE_VERTEX_MAX: u({k},{l}) = {total} exceeds the guard {limit}"
@@ -355,10 +345,7 @@ def check_conjecture_instance(
         )
         return ConjectureReport(k, l, 1, total, canon_size, "trivial-t1", None, recs)
 
-    result = max_compatible_family(
-        universe, "partially-t-intersect", t, guard=clique_guard, enumerate_all=True,
-        unique_guard=unique_guard,
-    )
+    result = max_compatible_family(universe, "partially-t-intersect", t, enumerate_all=True)
     if result.max_size < canon_size:
         raise AssertionError(
             "oracle below the canonical clique size; the canonical family "

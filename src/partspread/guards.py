@@ -1,40 +1,58 @@
 """Resource guards for exhaustive searches.
 
-All guards are module-level constants so that desk-scale runs stay within
-minutes.  Every guarded operation accepts an explicit override, and the CLI
-exposes each of them as a ``--guard-<name>`` flag.
+The guards keep desk-scale runs within minutes.  They live in one frozen
+`Limits` value: every guarded operation reads `current()`, and
+`with limited(field=value):` puts changed limits in force for the block
+only (a scoped context, like `decimal.localcontext`).  The CLI exposes
+every limit except `clique_unique_max` as a ``--guard-<name>`` flag.
 """
 
-# enumerate_partitions: largest n whose Bell number we are willing to walk
-# (B_13 is about 2.7e7).
-ENUM_MAX_N = 13
-
-# enumerate_profiled: largest family we materialize.
-PROFILED_ENUM_MAX = 10**7
-
-# every spreadness scan (spread_factor, weak_spread, is_r_spread and the
-# reduction/dominance checks): total candidate restriction sets counted.
-SPREAD_CANDIDATE_MAX = 10**7
-
-# find_sunflower: family size cap.
-SUNFLOWER_FAMILY_MAX = 10**5
-
-# max_compatible_family: vertex cap for the exact clique search.
-CLIQUE_VERTEX_MAX = 3000
-
-# covering_number: either the universe is at most this many elements ...
-COVER_UNIVERSE_MAX = 64
-# ... or the family has at most this many members.
-COVER_FAMILY_MAX = 10**4
-
-# reduction_sequence property (iii): subfamily/restriction pairs scanned
-# before the check is reported as skipped.
-SUBFAMILY_SCAN_MAX = 10**6
-
-# number of maximum cliques enumerated when checking extremal uniqueness.
-CLIQUE_UNIQUE_MAX = 10**4
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
 
-def effective(override, default):
-    """Pick the override when given, the module default otherwise."""
-    return default if override is None else override
+@dataclass(frozen=True)
+class Limits:
+    # enumerate_partitions: largest n whose Bell number we are willing to walk
+    # (B_13 is about 2.7e7).
+    enum_max_n: int = 13
+    # enumerate_profiled: largest family we materialize.
+    profiled_enum_max: int = 10**7
+    # every spreadness scan (spread_factor, weak_spread, is_r_spread and the
+    # reduction/dominance checks): total candidate restriction sets counted.
+    spread_candidate_max: int = 10**7
+    # find_sunflower: family size cap.
+    sunflower_family_max: int = 10**5
+    # max_compatible_family: vertex cap for the exact clique search.
+    clique_vertex_max: int = 3000
+    # covering_number: either the universe is at most this many elements ...
+    cover_universe_max: int = 64
+    # ... or the family has at most this many members.
+    cover_family_max: int = 10**4
+    # reduction_sequence property (iii): subfamily/restriction pairs scanned
+    # before the check is reported as skipped.
+    subfamily_scan_max: int = 10**6
+    # number of maximum cliques enumerated when checking extremal uniqueness.
+    clique_unique_max: int = 10**4
+
+
+_current: ContextVar[Limits] = ContextVar("partspread_limits", default=Limits())
+
+
+def current() -> Limits:
+    """The limits in force."""
+    return _current.get()
+
+
+@contextmanager
+def limited(**changes):
+    """Put current() with `changes` replaced in force for a with-block.
+
+    An unknown field name raises TypeError.
+    """
+    token = _current.set(replace(current(), **changes))
+    try:
+        yield _current.get()
+    finally:
+        _current.reset(token)

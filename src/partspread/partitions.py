@@ -228,11 +228,11 @@ def _blocks_from_rgs(rgs: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
-def iter_partitions(n: int, guard: int | None = None) -> Iterator[Partition]:
+def iter_partitions(n: int) -> Iterator[Partition]:
     """All partitions of [n] in canonical (RGS-lexicographic) order."""
     if n < 0:
         raise DomainError("iter_partitions needs n >= 0")
-    limit = guards.effective(guard, guards.ENUM_MAX_N)
+    limit = guards.current().enum_max_n
     if n > limit:
         raise ResourceLimitError(
             f"ENUM_MAX_N: n={n} exceeds the enumeration guard {limit}"
@@ -241,16 +241,16 @@ def iter_partitions(n: int, guard: int | None = None) -> Iterator[Partition]:
         yield Partition._trusted(n, _blocks_from_rgs(rgs, n))
 
 
-def enumerate_partitions(n: int, guard: int | None = None) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of [n] as a list; length equals bell(n)."""
-    return list(iter_partitions(n, guard=guard))
+    return list(iter_partitions(n))
 
 
-def enumerate_into_blocks(n: int, l: int, guard: int | None = None) -> list[Partition]:
+def enumerate_into_blocks(n: int, l: int) -> list[Partition]:
     """All partitions of [n] with exactly l blocks; length stirling2(n, l)."""
     if l < 1 or l > n:
         raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
-    return [p for p in iter_partitions(n, guard=guard) if p.num_blocks == l]
+    return [p for p in iter_partitions(n) if p.num_blocks == l]
 
 
 def _gen_profiled(
@@ -275,10 +275,10 @@ def _gen_profiled(
                 yield (block,) + tail
 
 
-def enumerate_profiled(p: Profile, guard: int | None = None) -> list[Partition]:
+def enumerate_profiled(p: Profile) -> list[Partition]:
     """All partitions of [sum(sizes)] whose block sizes match the profile."""
     total = count_profiled(p)
-    limit = guards.effective(guard, guards.PROFILED_ENUM_MAX)
+    limit = guards.current().profiled_enum_max
     if total > limit:
         raise ResourceLimitError(
             f"PROFILED_ENUM_MAX: profile {p.sizes} has {total} partitions, "
@@ -289,17 +289,17 @@ def enumerate_profiled(p: Profile, guard: int | None = None) -> list[Partition]:
     return [Partition._trusted(n, bl) for bl in _gen_profiled(elems, p.sizes)]
 
 
-def enumerate_uniform(k: int, l: int, guard: int | None = None) -> list[Partition]:
+def enumerate_uniform(k: int, l: int) -> list[Partition]:
     """All partitions of [k*l] into l blocks of size k."""
-    return enumerate_profiled(Profile.uniform(k, l), guard=guard)
+    return enumerate_profiled(Profile.uniform(k, l))
 
 
-def count_derangements(p: Partition, guard: int | None = None) -> int:
+def count_derangements(p: Partition) -> int:
     """Partitions of [n] sharing no block with p, counted by enumeration."""
     own = set(p.blocks)
     return sum(
         1
-        for q in iter_partitions(p.n, guard=guard)
+        for q in iter_partitions(p.n)
         if not own.intersection(q.blocks)
     )
 

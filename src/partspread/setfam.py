@@ -329,18 +329,14 @@ def _cover_exists(masks: list[int], min_elem: int, budget: int) -> bool:
     return False
 
 
-def covering_number(
-    f: SetFamily,
-    universe_guard: int | None = None,
-    family_guard: int | None = None,
-) -> tuple[int, ElementSet]:
+def covering_number(f: SetFamily) -> tuple[int, ElementSet]:
     """Exact minimum hitting-set size with the lexicographically least witness."""
     if f.size == 0:
         raise DomainError("covering number of an empty family is undefined")
     if any(m == 0 for m in f.masks):
         raise DomainError("family contains the empty set; no cover can hit it")
-    n_guard = guards.effective(universe_guard, guards.COVER_UNIVERSE_MAX)
-    f_guard = guards.effective(family_guard, guards.COVER_FAMILY_MAX)
+    limits = guards.current()
+    n_guard, f_guard = limits.cover_universe_max, limits.cover_family_max
     if f.universe.size > n_guard and f.size > f_guard:
         raise ResourceLimitError(
             f"COVER guard: universe {f.universe.size} > {n_guard} and "

@@ -19,12 +19,12 @@ from .setfam import ElementSet, SetFamily, restrict
 from . import guards
 
 
-def candidate_counts(f: SetFamily, guard: int | None = None) -> dict[int, int]:
+def candidate_counts(f: SetFamily) -> dict[int, int]:
     """Map each nonempty submask of a member to |F[X]|, the members containing it.
 
-    Refused above SPREAD_CANDIDATE_MAX (or `guard`) before the map is built.
+    Refused above the spread_candidate_max limit before the map is built.
     """
-    limit = guards.effective(guard, guards.SPREAD_CANDIDATE_MAX)
+    limit = guards.current().spread_candidate_max
     total = sum(2 ** m.bit_count() for m in f.masks)
     if total > limit:
         raise ResourceLimitError(
@@ -105,11 +105,11 @@ def spread_from_counts(f: SetFamily, counts: dict[int, int]) -> SpreadReport:
     return SpreadReport(best, ElementSet(f.universe, best_mask), len(counts))
 
 
-def spread_factor(f: SetFamily, guard: int | None = None) -> SpreadReport:
+def spread_factor(f: SetFamily) -> SpreadReport:
     """max r such that f is r-spread: min over X of (|F|/|F(X)|)^(1/|X|)."""
     if f.size == 0:
         raise DomainError("spread factor of an empty family")
-    return spread_from_counts(f, candidate_counts(f, guard=guard))
+    return spread_from_counts(f, candidate_counts(f))
 
 
 def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
@@ -125,9 +125,7 @@ def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
     return False, ElementSet(f.universe, mask)
 
 
-def weak_spread(
-    a: SetFamily, t: int, guard: int | None = None
-) -> tuple[ElementSet, ExactPow, Optional[ElementSet]]:
+def weak_spread(a: SetFamily, t: int) -> tuple[ElementSet, ExactPow, Optional[ElementSet]]:
     """Best weak (r, t)-spreadness data of a family.
 
     Picks the t-set T maximizing |a(T)| (ties to the least mask) and returns the
@@ -140,7 +138,7 @@ def weak_spread(
         raise DomainError("weak_spread of an empty family")
     if a.max_size() < t:
         raise DomainError(f"no member has size >= t = {t}")
-    levels = level_summary(candidate_counts(a, guard=guard))
+    levels = level_summary(candidate_counts(a))
     t_count, best_t = levels[t] if t else (a.size, 0)
     best, best_mask = _least_ratio(
         ((s - t, levels[s]) for s in sorted(levels) if s > t), t_count
@@ -197,9 +195,7 @@ def find_max_violating(f: SetFamily, r) -> ElementSet:
         x |= viol.mask
 
 
-def find_spread_subfamily(
-    f: SetFamily, alpha, guard: int | None = None
-) -> tuple[ElementSet, SetFamily]:
+def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
     """An alpha-spread restriction F(X) of a k-uniform family with |F| > alpha^k.
 
     Takes the largest X violating alpha-spreadness (ties to the least mask);
@@ -216,7 +212,7 @@ def find_spread_subfamily(
         raise PreconditionError(
             f"|F| = {f.size} does not exceed alpha^k = {alpha}**{k}"
         )
-    best_mask = _violator(f, candidate_counts(f, guard=guard), alpha, largest=True)
+    best_mask = _violator(f, candidate_counts(f), alpha, largest=True)
     if best_mask is None:
         return ElementSet(f.universe, 0), f
     x = ElementSet(f.universe, best_mask)
@@ -243,9 +239,7 @@ def _pack_disjoint(residues: list[tuple[int, int]], need: int) -> Optional[list[
     return go(0, 0, [])
 
 
-def find_sunflower(
-    f: SetFamily, l: int, guard: int | None = None
-) -> Optional[tuple[ElementSet, list[ElementSet]]]:
+def find_sunflower(f: SetFamily, l: int) -> Optional[tuple[ElementSet, list[ElementSet]]]:
     """l member sets whose pairwise intersections all equal the common core.
 
     The core of any sunflower with l >= 2 petals is the intersection of some
@@ -254,7 +248,7 @@ def find_sunflower(
     """
     if l < 1:
         raise DomainError("find_sunflower needs l >= 1")
-    limit = guards.effective(guard, guards.SUNFLOWER_FAMILY_MAX)
+    limit = guards.current().sunflower_family_max
     if f.size > limit:
         raise ResourceLimitError(
             f"SUNFLOWER_FAMILY_MAX: family size {f.size} exceeds guard {limit}"

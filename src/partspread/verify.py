@@ -209,7 +209,6 @@ def check_encoded_spreadness(
     profile: Profile | None = None,
     mode: str = "both",
     s_max: int | None = None,
-    guard: int | None = None,
 ) -> CheckReport:
     """Spreadness of the encoded partition families, directly and by formula.
 
@@ -220,25 +219,25 @@ def check_encoded_spreadness(
     threshold comparison at parameters outside the gates is informational.
     """
     if kind == "bell":
-        return _spreadness_bell(n, t, mode, guard)
+        return _spreadness_bell(n, t, mode)
     if kind == "blocks":
-        return _spreadness_blocks(n, l, t, mode, guard)
+        return _spreadness_blocks(n, l, t, mode)
     if kind == "profiled":
-        return _spreadness_profiled(profile, t, s_max, mode, guard)
+        return _spreadness_profiled(profile, t, s_max, mode)
     if kind == "kl-edges":
-        return _spreadness_kl_edges(k, l, mode, guard)
+        return _spreadness_kl_edges(k, l, mode)
     raise DomainError(f"unknown spreadness setting {kind!r}")
 
 
-def _spreadness_bell(n, t, mode, guard) -> CheckReport:
+def _spreadness_bell(n, t, mode) -> CheckReport:
     if n is None or n < 1:
         raise DomainError("bell setting needs n >= 1")
     rep = CheckReport("encoded-spreadness-bell", {"n": n, "t": t, "mode": mode})
     ln_lo = ln_enclosure(Fraction(n))[0] if n >= 2 else None
     gate = n >= 50
     if mode in ("direct", "both"):
-        _, fam = encode_family_parts(enumerate_partitions(n, guard=None))
-        rstar = spread_factor(fam, guard=guard).r_star
+        _, fam = encode_family_parts(enumerate_partitions(n))
+        rstar = spread_factor(fam).r_star
         if ln_lo:
             threshold = Fraction(n) / (6 * ln_lo)  # upper bound of n / (6 ln n)
             ok = rstar >= ExactPow(threshold)
@@ -256,7 +255,7 @@ def _spreadness_bell(n, t, mode, guard) -> CheckReport:
                     f"({'holds' if ok else 'does not hold'})"
                 )
         if t is not None and t >= 1:
-            _, rweak, _ = weak_spread(fam, t, guard=guard)
+            _, rweak, _ = weak_spread(fam, t)
             wthr = Fraction(n) / (12 * ln_lo) if ln_lo else None
             ok = wthr is not None and rweak >= ExactPow(wthr)
             rep.add(
@@ -281,7 +280,7 @@ def _spreadness_bell(n, t, mode, guard) -> CheckReport:
     return rep.finalize()
 
 
-def _spreadness_blocks(n, l, t, mode, guard) -> CheckReport:
+def _spreadness_blocks(n, l, t, mode) -> CheckReport:
     if n is None or l is None or t is None:
         raise DomainError("blocks setting needs n, l, t")
     if not 1 <= t <= l - 1 or l > n:
@@ -297,8 +296,8 @@ def _spreadness_blocks(n, l, t, mode, guard) -> CheckReport:
     )
     threshold = Fraction(n * n, 2)
     if mode in ("direct", "both"):
-        _, fam = encode_family_parts(enumerate_into_blocks(n, l, guard=None))
-        _, rweak, _ = weak_spread(fam, t, guard=guard)
+        _, fam = encode_family_parts(enumerate_into_blocks(n, l))
+        _, rweak, _ = weak_spread(fam, t)
         ok = rweak >= ExactPow(threshold)
         rep.add(
             {"claim": "weak-spread"},
@@ -331,7 +330,7 @@ def _spreadness_blocks(n, l, t, mode, guard) -> CheckReport:
     return rep.finalize()
 
 
-def _spreadness_profiled(profile, t, s_max, mode, guard) -> CheckReport:
+def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
     if profile is None or t is None:
         raise DomainError("profiled setting needs a profile and t")
     sizes = profile.sizes
@@ -347,7 +346,7 @@ def _spreadness_profiled(profile, t, s_max, mode, guard) -> CheckReport:
     threshold = Fraction(l * l, 12)
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_profiled(profile))
-        _, rweak, _ = weak_spread(fam, t, guard=guard)
+        _, rweak, _ = weak_spread(fam, t)
         ok = rweak >= ExactPow(threshold)
         rep.add(
             {"claim": "weak-spread"},
@@ -393,7 +392,7 @@ def _spreadness_profiled(profile, t, s_max, mode, guard) -> CheckReport:
     return rep.finalize()
 
 
-def _spreadness_kl_edges(k, l, mode, guard) -> CheckReport:
+def _spreadness_kl_edges(k, l, mode) -> CheckReport:
     if k is None or l is None or k < 2 or l < 1:
         raise DomainError("kl-edges setting needs k >= 2 and l >= 1")
     rep = CheckReport("encoded-spreadness-kl-edges", {"k": k, "l": l, "mode": mode})
@@ -404,7 +403,7 @@ def _spreadness_kl_edges(k, l, mode, guard) -> CheckReport:
     if mode in ("direct", "both"):
         universe = enumerate_profiled(Profile.uniform(k, l))
         u, fam = encode_family_edges(universe)
-        counts = candidate_counts(fam, guard=guard)
+        counts = candidate_counts(fam)
         rstar = spread_from_counts(fam, counts).r_star
         threshold = ExactPow(Fraction(l, 9), Fraction(2, 3 * k))
         ok = rstar >= threshold

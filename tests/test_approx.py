@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,8 +13,8 @@ from partspread.approx import (
     verify_approx,
 )
 from partspread.encoding import encode_family_edges
-from partspread import guards
-from partspread.errors import IntegrityError, PreconditionError, ResourceLimitError
+from partspread import approx, guards, spread
+from partspread.errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
 from partspread.partitions import Profile, enumerate_uniform
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict
@@ -214,32 +215,33 @@ def test_forbidden_restriction_detector():
 
     # two disjoint pairs restricted at X = {} are 2^(1/2)-spread > 1
     fam = family_of(4, {0, 1}, {2, 3})
-    found, _ = _forbidden_restriction_exists(fam, 1, 10**6)
+    found, _ = _forbidden_restriction_exists(fam, 1)
     assert found is True
     # a single-member family has no qualifying subfamily
-    found, _ = _forbidden_restriction_exists(family_of(4, {0, 1}), 1, 10**6)
+    found, _ = _forbidden_restriction_exists(family_of(4, {0, 1}), 1)
     assert found is False
     # guard exhaustion reports None (skipped)
     big = ksubsets_family(10, 5)
-    found, _ = _forbidden_restriction_exists(big, 2, 10)
+    with guards.limited(subfamily_scan_max=10):
+        found, _ = _forbidden_restriction_exists(big, 2)
     assert found is None
 
 
-def test_candidate_guard_skips_scans(monkeypatch):
+def test_candidate_guard_skips_scans():
     from partspread.approx import _forbidden_restriction_exists
 
-    monkeypatch.setattr(guards, "SPREAD_CANDIDATE_MAX", 10)
-    # 6 pairs have 24 candidate sets: the reduction scan is skipped, not run
-    assert _forbidden_restriction_exists(ksubsets_family(4, 2), 1, 10**6) == (None, 0)
-    # the ambient r0-spreadness gate is skipped; the small core checks still run
-    f = family_of(5, {0, 1}, {0, 2})
-    res = spread_approximate(f, 2, 2)
-    verdict = verify_approx(res, f, ksubsets_family(5, 2), 2, 4, 2, 1)
-    assert verdict.gate_ambient_spread is None
-    gate = [r for r in verdict.records() if "gate=gate-ambient-r0-spread" in r.params]
-    assert [r.verdict for r in gate] == ["skipped"]
-    with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
-        check_dominance(ksubsets_family(5, 2), family_of(5, {0, 1}), 1, 1)
+    with guards.limited(spread_candidate_max=10):
+        # 6 pairs have 24 candidate sets: the reduction scan is skipped, not run
+        assert _forbidden_restriction_exists(ksubsets_family(4, 2), 1) == (None, 0)
+        # the ambient r0-spreadness gate is skipped; the small core checks still run
+        f = family_of(5, {0, 1}, {0, 2})
+        res = spread_approximate(f, 2, 2)
+        verdict = verify_approx(res, f, ksubsets_family(5, 2), 2, 4, 2, 1)
+        assert verdict.gate_ambient_spread is None
+        gate = [r for r in verdict.records() if "gate=gate-ambient-r0-spread" in r.params]
+        assert [r.verdict for r in gate] == ["skipped"]
+        with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
+            check_dominance(ksubsets_family(5, 2), family_of(5, {0, 1}), 1, 1)
 
 
 def test_reduction_sequence_preconditions():
@@ -261,6 +263,24 @@ def test_dominance_example():
     assert rep.rhs == 2
     assert rep.conclusion_ok is False
     assert rep.gate_ok is False  # eps*r = 2 < 24q = 48
+
+
+def test_dominance_scans_once():
+    # T, |A[T]| and the weak factor all come from one candidate-count scan
+    a = ksubsets_family(5, 2)
+    tri = family_of(5, {0, 1}, {1, 2}, {0, 2})
+    scan = mock.Mock(wraps=spread.candidate_counts)
+    with (
+        mock.patch.object(spread, "candidate_counts", scan),
+        mock.patch.object(approx, "candidate_counts", scan),
+    ):
+        rep = check_dominance(a, tri, 1, Fraction(1, 2))
+    assert scan.call_count == 1
+    assert rep.best_t_set.mask == 1 and rep.rhs == Fraction(4, 2)
+    with pytest.raises(DomainError):
+        check_dominance(a, tri, 0, Fraction(1, 2))
+    with pytest.raises(DomainError):
+        check_dominance(a, family_of(5, {0, 1, 2}), 3, Fraction(1, 2))
 
 
 def test_dominance_trivial_family():

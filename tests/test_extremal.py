@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from partspread import guards
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.extremal import (
     CanonicalSpec,
@@ -164,7 +165,8 @@ def test_oracle_at_least_canonical():
 
 def test_oracle_guard():
     with pytest.raises(ResourceLimitError, match="CLIQUE_VERTEX_MAX"):
-        max_compatible_family(enumerate_uniform(2, 3), "partially-t-intersect", 2, guard=10)
+        with guards.limited(clique_vertex_max=10):
+            max_compatible_family(enumerate_uniform(2, 3), "partially-t-intersect", 2)
     with pytest.raises(DomainError):
         max_compatible_family(enumerate_uniform(2, 2), "nonsense", 2)
 

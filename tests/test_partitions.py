@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from partspread import guards
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.partitions import (
     Partition,
@@ -78,9 +79,11 @@ def test_enumerate_empty_ground_set():
 def test_enumeration_guard():
     with pytest.raises(ResourceLimitError, match="ENUM_MAX_N"):
         enumerate_partitions(14)
-    # override opens it up (not executed to completion here)
-    it = iter_partitions(14, guard=14)
-    next(it)
+    # a raised limit opens it up (not executed to completion here); the limit
+    # is read on the first next(), so that runs inside the block
+    with guards.limited(enum_max_n=14):
+        it = iter_partitions(14)
+        next(it)
 
 
 def test_enumerate_into_blocks():

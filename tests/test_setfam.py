@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import family_of, ksubsets_family
+from partspread import guards
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.partitions import bell, enumerate_partitions
 from partspread.encoding import encode_family_parts, encode_parts
@@ -125,7 +126,8 @@ def test_covering_number_errors():
         covering_number(SetFamily(PlainUniverse(3), [0]))
     big = SetFamily(PlainUniverse(100), [1 << i for i in range(100)])
     with pytest.raises(ResourceLimitError):
-        covering_number(big, family_guard=10)
+        with guards.limited(cover_family_max=10):
+            covering_number(big)
 
 
 def test_serialization_round_trip():

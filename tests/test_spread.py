@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import family_of, ksubsets_family
-from partspread import spread
+from partspread import guards, spread
 from partspread.approx import check_dominance
 from partspread.encoding import decode_parts
 from partspread.errors import DomainError, PreconditionError, ResourceLimitError
@@ -285,7 +287,8 @@ def test_sunflower_classical_threshold_2_uniform():
 def test_find_sunflower_guard():
     f = family_of(4, {0, 1}, {1, 2}, {2, 3})
     with pytest.raises(ResourceLimitError):
-        find_sunflower(f, 2, guard=2)
+        with guards.limited(sunflower_family_max=2):
+            find_sunflower(f, 2)
     with pytest.raises(DomainError):
         find_sunflower(f, 0)
 
@@ -294,9 +297,11 @@ def test_is_r_spread_guard():
     f = SetFamily(PlainUniverse(40), [(1 << 40) - 1])
     with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
         is_r_spread(f, 2)
-    with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
-        candidate_counts(ksubsets_family(4, 2), guard=23)
-    assert len(candidate_counts(ksubsets_family(4, 2), guard=24)) == 10
+    with guards.limited(spread_candidate_max=23):
+        with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
+            candidate_counts(ksubsets_family(4, 2))
+    with guards.limited(spread_candidate_max=24):
+        assert len(candidate_counts(ksubsets_family(4, 2))) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +481,17 @@ values_st = st.one_of(
 def test_exactpow_eq_implies_hash_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+def test_exactpow_hash_builds_no_power():
+    # 2**(10**12) has 10**12 bits; its hash is taken modulo the hash prime
+    tracemalloc.start()
+    try:
+        h = hash(ExactPow(2, 10**12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert h == pow(2, 10**12, sys.hash_info.modulus)
+    modulus = sys.hash_info.modulus
+    assert hash(ExactPow(Fraction(1, modulus), 3)) == hash(Fraction(1, modulus**3))
