@@ -48,7 +48,6 @@ from .encoding import (
     encode_family_edges,
     encode_family_parts,
     encode_parts,
-    subpartition_weight,
 )
 from .spread import (
     SpreadReport,

@@ -566,7 +566,9 @@ def check_dominance(
     trivial = common.bit_count() >= t
     recs: list[Record] = []
 
-    if not 1 <= t <= a.max_size():
+    if t < 1:
+        raise DomainError("check_dominance needs t >= 1")
+    if t > a.max_size():
         raise DomainError(f"no member of the ambient family has size >= {t}")
     best, r_val, _ = weak_spread(a, t)
     at_count = star_count(a, best)

@@ -68,14 +68,6 @@ def ln_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fr
     return a * l2lo + 2 * alo, a * l2hi + 2 * ahi
 
 
-def ln_lower(x, eps: Fraction = DEFAULT_EPS) -> Fraction:
-    return ln_enclosure(Fraction(x), eps)[0]
-
-
-def ln_upper(x, eps: Fraction = DEFAULT_EPS) -> Fraction:
-    return ln_enclosure(Fraction(x), eps)[1]
-
-
 @lru_cache(maxsize=None)
 def log2_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log2(x) for rational x > 0."""
@@ -85,14 +77,6 @@ def log2_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, 
     lo = nlo / dhi if nlo >= 0 else nlo / dlo
     hi = nhi / dlo if nhi >= 0 else nhi / dhi
     return lo, hi
-
-
-def log2_upper(x, eps: Fraction = DEFAULT_EPS) -> Fraction:
-    return log2_enclosure(Fraction(x), eps)[1]
-
-
-def log2_lower(x, eps: Fraction = DEFAULT_EPS) -> Fraction:
-    return log2_enclosure(Fraction(x), eps)[0]
 
 
 @lru_cache(maxsize=None)

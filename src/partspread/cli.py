@@ -85,6 +85,15 @@ class RunConfig:
     fmt: str = "text-table"
 
 
+def _required(args, name: str):
+    """The value of a flag that the chosen subcommand cannot run without."""
+    value = getattr(args, name)
+    if value is None:
+        flag = "--" + name.replace("_", "-")
+        raise DomainError(f"{args.command} {args.what} needs {flag}")
+    return value
+
+
 def _parse_profile(text: str) -> Profile:
     return Profile(tuple(int(x) for x in text.split(",")))
 
@@ -185,13 +194,13 @@ def _run_count(args) -> list[Record]:
         value = tilde_bell(args.n)
         params = {"n": args.n}
     elif args.what == "profiled":
-        value = count_profiled(_parse_profile(args.profile))
+        value = count_profiled(_parse_profile(_required(args, "profile")))
         params = {"profile": args.profile}
     elif args.what == "uniform":
         value = u_count(args.k, args.l)
         params = {"k": args.k, "l": args.l}
     elif args.what == "derangements":
-        value = count_derangements(_parse_partition(args.partition))
+        value = count_derangements(_parse_partition(_required(args, "partition")))
         params = {"partition": args.partition}
     else:
         raise DomainError(f"unknown count {args.what!r}")
@@ -206,7 +215,7 @@ def _run_enumerate(args) -> list[Record]:
         fam = enumerate_into_blocks(args.n, args.l)
         params = {"n": args.n, "l": args.l}
     elif args.what == "profiled":
-        fam = enumerate_profiled(_parse_profile(args.profile))
+        fam = enumerate_profiled(_parse_profile(_required(args, "profile")))
         params = {"profile": args.profile}
     else:
         raise DomainError(f"unknown enumeration {args.what!r}")
@@ -314,7 +323,7 @@ def _run_reduce(args) -> list[Record]:
         with open(args.s_file, "r", encoding="utf-8") as fh:
             s = family_from_text(fh.read(), universe=universe)
     else:
-        s = _family_from_indices(universe, args.s)
+        s = _family_from_indices(universe, _required(args, "s"))
     if args.what == "minimize":
         out = minimize_t_intersecting(s, args.t, args.q)
         return [
@@ -360,7 +369,7 @@ def _run_extremal(args) -> list[Record]:
             universe = enumerate_profiled(Profile.uniform(args.k, args.l))
             params = {"setting": "uniform", "k": args.k, "l": args.l}
         elif args.setting == "profiled":
-            universe = enumerate_profiled(_parse_profile(args.profile))
+            universe = enumerate_profiled(_parse_profile(_required(args, "profile")))
             params = {"setting": "profiled", "profile": args.profile}
         else:
             raise DomainError(f"unknown oracle setting {args.setting!r}")
@@ -417,15 +426,15 @@ def _run_verify(args) -> list[Record]:
             s_max=args.s_max,
         )
     elif args.what == "containment":
-        _, fam = load_family(args.family)
+        _, fam = load_family(_required(args, "family"))
         rep = check_random_containment(
             fam, parse_ratio(args.r), args.m, parse_ratio(args.delta),
             args.trials, args.seed,
         )
     elif args.what == "nonintersect":
         rep = check_nonintersect_count(
-            args.k, args.l, args.t, _parse_int_list(args.t_set),
-            _parse_partition(args.y),
+            args.k, args.l, args.t, _parse_int_list(_required(args, "t_set")),
+            _parse_partition(_required(args, "y")),
         )
     else:
         raise DomainError(f"unknown verify op {args.what!r}")

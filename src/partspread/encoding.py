@@ -67,10 +67,6 @@ class SubPartition:
         return f"SubPartition[{body}]"
 
 
-def subpartition_weight(x: SubPartition) -> int:
-    return x.weight
-
-
 def encode_parts(p: Partition, u: PartsUniverse) -> ElementSet:
     """One universe element per block; the set size is the block count."""
     if u.kind != "parts" or u.n != p.n:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import guards
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, IntegrityError, ResourceLimitError
 from .partitions import (
     Partition,
     Profile,
@@ -135,7 +135,7 @@ def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
     else:
         raise DomainError(f"unknown canonical setting {spec.setting!r}")
     if expected is not None and len(fam) != expected:
-        raise AssertionError(
+        raise IntegrityError(
             f"canonical family size {len(fam)} != closed form {expected}"
         )
     return fam, len(fam)
@@ -192,17 +192,31 @@ def _greedy_color_order(cand: int, adj: list[int]) -> list[tuple[int, int]]:
     return order
 
 
-def _max_clique_masks(adj: list[int], n: int) -> tuple[list[int], int]:
-    """Exact maximum clique over adjacency bitmasks; returns (vertices, nodes)."""
+def _max_clique_masks(
+    adj: list[int], n: int, cap: Optional[int] = None
+) -> tuple[list[int], int, Optional[list[tuple[int, ...]]]]:
+    """Exact maximum clique over adjacency bitmasks: (vertices, nodes, maxima).
+
+    Without a cap a branch is pruned when its coloring bound cannot beat the
+    best size, and maxima is None.  With a cap, branches whose bound ties the
+    best size are searched too, so the same pass collects every clique of the
+    best size (sorted vertex tuples); a strictly larger clique restarts the
+    list.  More than cap ties set it to None, and the search prunes as
+    without a cap until the next improvement; every clique of a larger size
+    is found after the first one, so a final list that is not None holds
+    every maximum clique.  The witness is the same with or without a cap.
+    """
     best: list[int] = []
     nodes = 0
+    ties = [()] if cap else None  # the empty clique is the maximum of no vertices
 
     def expand(cand: int, current: list[int]) -> None:
-        nonlocal best, nodes
+        nonlocal best, nodes, ties
         nodes += 1
         order = _greedy_color_order(cand, adj)
         for v, color in reversed(order):
-            if len(current) + color <= len(best):
+            # while collecting, a bound that ties the best size still branches
+            if len(current) + color < len(best) + (ties is None):
                 return
             current.append(v)
             nxt = cand & adj[v]
@@ -210,39 +224,17 @@ def _max_clique_masks(adj: list[int], n: int) -> tuple[list[int], int]:
                 expand(nxt, current)
             elif len(current) > len(best):
                 best = list(current)
+                ties = None if cap is None else [tuple(sorted(best))]
+            elif ties is not None and len(current) == len(best):
+                ties.append(tuple(sorted(current)))
+            if ties is not None and len(ties) > cap:
+                ties = None
             current.pop()
             cand &= ~(1 << v)
 
     if n:
         expand((1 << n) - 1, [])
-    return sorted(best), nodes
-
-
-def _enumerate_maximum_cliques(
-    adj: list[int], n: int, size: int, cap: int
-) -> Optional[list[tuple[int, ...]]]:
-    """All cliques of exactly `size` vertices, or None once cap is exceeded."""
-    found: list[tuple[int, ...]] = []
-
-    def expand(start: int, cand: int, current: list[int]) -> bool:
-        if len(current) == size:
-            found.append(tuple(current))
-            return len(found) <= cap
-        if len(current) + cand.bit_count() < size:
-            return True
-        m = cand & ~((1 << start) - 1)
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            current.append(v)
-            if not expand(v + 1, cand & adj[v], current):
-                return False
-            current.pop()
-        return True
-
-    complete = expand(0, (1 << n) - 1, [])
-    return found if complete else None
+    return sorted(best), nodes, None if ties is None else sorted(ties)
 
 
 PREDICATES: dict[str, Callable[[Partition, Partition, int], bool]] = {
@@ -273,12 +265,9 @@ def max_compatible_family(
             if pred(universe[i], universe[j], t):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    vertices, nodes = _max_clique_masks(adj, n)
+    cap = guards.current().clique_unique_max if enumerate_all else None
+    vertices, nodes, all_max = _max_clique_masks(adj, n, cap)
     witness = [universe[i] for i in vertices]
-    all_max = None
-    if enumerate_all:
-        cap = guards.current().clique_unique_max
-        all_max = _enumerate_maximum_cliques(adj, n, len(vertices), cap)
     return OracleResult(len(vertices), witness, nodes, all_max)
 
 
@@ -347,7 +336,7 @@ def check_conjecture_instance(k: int, l: int, t: int) -> ConjectureReport:
 
     result = max_compatible_family(universe, "partially-t-intersect", t, enumerate_all=True)
     if result.max_size < canon_size:
-        raise AssertionError(
+        raise IntegrityError(
             "oracle below the canonical clique size; the canonical family "
             "is itself compatible"
         )
@@ -417,7 +406,7 @@ def _assert_clique(fam: Sequence[Partition], predicate: str, t: int) -> None:
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):
             if not pred(fam[i], fam[j], t):
-                raise AssertionError(
+                raise IntegrityError(
                     f"canonical family is not a clique under {predicate} t={t}"
                 )
 

@@ -98,15 +98,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.verdict != FAIL
 
-    def min_margin(self):
-        vals = []
-        for r in self.points:
-            try:
-                vals.append(Fraction(r.margin))
-            except (ValueError, ZeroDivisionError):
-                continue
-        return min(vals) if vals else None
-
     def records(self) -> list[Record]:
         return list(self.points)
 

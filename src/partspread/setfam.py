@@ -169,14 +169,8 @@ class ElementSet:
     def intersection(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.universe, self.mask & other.mask)
 
-    def difference(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.universe, self.mask & ~other.mask)
-
     def issubset(self, other: "ElementSet") -> bool:
         return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "ElementSet") -> bool:
-        return self.mask & other.mask == 0
 
     def __contains__(self, idx: int) -> bool:
         return (self.mask >> idx) & 1 == 1
@@ -210,15 +204,6 @@ class SetFamily:
                 kept.append(m)
         self.universe = universe
         self.masks = tuple(kept)
-
-    @classmethod
-    def from_sets(cls, universe, sets: Iterable[ElementSet]) -> "SetFamily":
-        masks = []
-        for s in sets:
-            if not same_universe(s.universe, universe):
-                raise DomainError("member from a different universe")
-            masks.append(s.mask)
-        return cls(universe, masks)
 
     @property
     def size(self) -> int:

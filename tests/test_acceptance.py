@@ -210,6 +210,10 @@ def test_criterion_08_extremal_oracles():
     rep24 = check_conjecture_instance(2, 4, 2)
     assert rep24.oracle_size == 15 == u_count(2, 3) == rep24.canonical_size
     assert rep24.relation == "equal"
+    rep25 = check_conjecture_instance(2, 5, 2)
+    assert rep25.relation == "equal" and rep25.uniqueness is True
+    assert rep25.records()[-1].verdict == "pass"
+    assert "maximum_cliques=45" in rep25.records()[-1].params
     res = max_compatible_family(enumerate_partitions(3), "t-intersect", 1)
     assert res.max_size == 2 == bell(2)
     for n, l in [(5, 3), (6, 3)]:

@@ -277,9 +277,9 @@ def test_dominance_scans_once():
         rep = check_dominance(a, tri, 1, Fraction(1, 2))
     assert scan.call_count == 1
     assert rep.best_t_set.mask == 1 and rep.rhs == Fraction(4, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^check_dominance needs t >= 1$"):
         check_dominance(a, tri, 0, Fraction(1, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no member of the ambient family has size >= 3"):
         check_dominance(a, family_of(5, {0, 1, 2}), 3, Fraction(1, 2))
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from partspread.cli import main
 
 
@@ -200,3 +202,24 @@ def test_sunflower_and_covering_cli(capsys):
     assert code == 0
     code, out = run_cli(capsys, "spread", "covering", "--family", "kl:2,2")
     assert code == 0 and "covering-number" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("count profiled", "--profile"),
+        ("count derangements", "--partition"),
+        ("enumerate profiled", "--profile"),
+        ("extremal oracle --setting profiled --t 1", "--profile"),
+        ("reduce minimize --family kl:2,3 --q 2 --t 1", "--s"),
+        ("verify containment --r 2 --m 1 --delta 1/2", "--family"),
+        ("verify nonintersect --k 2 --l 3 --t 2 --y 1,3|2,4|5,6", "--t-set"),
+        ("verify nonintersect --k 2 --l 3 --t 2 --t-set 1,2", "--y"),
+    ],
+)
+def test_missing_flag_is_usage_error(capsys, argv, flag):
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"needs {flag}")

@@ -14,7 +14,6 @@ from partspread.encoding import (
     encode_family_parts,
     encode_parts,
     extension_ratio,
-    subpartition_weight,
 )
 from partspread.errors import DomainError
 from partspread.partitions import (
@@ -88,8 +87,8 @@ def test_edges_to_subpartition():
 
 
 def test_subpartition_weight_and_validation():
-    assert subpartition_weight(SubPartition([[1, 2]])) == 1
-    assert subpartition_weight(SubPartition([[1, 2], [3, 4, 5]])) == 3
+    assert SubPartition([[1, 2]]).weight == 1
+    assert SubPartition([[1, 2], [3, 4, 5]]).weight == 3
     with pytest.raises(DomainError):
         SubPartition([[1]])
     with pytest.raises(DomainError):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from partspread import guards
-from partspread.errors import DomainError, ResourceLimitError
+from partspread import extremal, guards
+from partspread.cli import main
+from partspread.errors import DomainError, IntegrityError, ResourceLimitError
 from partspread.extremal import (
     CanonicalSpec,
     canonical_family,
@@ -192,3 +193,43 @@ def test_conjecture_guards():
         check_conjecture_instance(3, 4, 2)  # u(3,4) = 15400 > 3000
     with pytest.raises(DomainError):
         check_conjecture_instance(2, 3, 3)  # t > k
+
+
+def test_closed_form_mismatch_is_integrity_error(monkeypatch, capsys):
+    monkeypatch.setattr(extremal, "_partial_expected", lambda profile, t: 99)
+    with pytest.raises(IntegrityError, match="closed form 99"):
+        canonical_family(
+            CanonicalSpec(setting="partial", profile=Profile.uniform(2, 3), t=2)
+        )
+    argv = ["extremal", "canonical", "--setting", "partial", "--profile", "2,2,2", "--t", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: canonical family size") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "universe, predicate, t, size, nodes",
+    [
+        (lambda: enumerate_uniform(2, 5), "partially-t-intersect", 2, 105, 1154),
+        (lambda: enumerate_into_blocks(7, 5), "t-intersect", 1, 65, 6493),
+        (lambda: enumerate_partitions(7), "t-intersect", 2, 52, 17163),
+    ],
+    ids=["uniform-2-5", "blocks-7-5", "bell-7"],
+)
+def test_oracle_nodes_pinned(universe, predicate, t, size, nodes):
+    # the plain search (no uniqueness cap) visits exactly these nodes
+    res = max_compatible_family(universe(), predicate, t)
+    assert (res.max_size, res.nodes, res.all_maximum) == (size, nodes, None)
+
+
+def test_uniqueness_cap_boundary():
+    # (2,4,2) has 28 maximum cliques: a cap of 27 gives up, 28 verifies
+    with guards.limited(clique_unique_max=27):
+        rep = check_conjecture_instance(2, 4, 2)
+    assert rep.relation == "equal" and rep.uniqueness is None
+    assert rep.records()[-1].verdict == "skipped"
+    with guards.limited(clique_unique_max=28):
+        rep = check_conjecture_instance(2, 4, 2)
+    assert rep.uniqueness is True
+    assert rep.records()[-1].verdict == "pass"
+    assert "maximum_cliques=28" in rep.records()[-1].params

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
+from hypothesis import given, settings, strategies as st
 
 from conftest import family_of
 from partspread.exact import ExactPow
@@ -157,16 +158,21 @@ def test_covering_number_against_subset_scan():
         assert tuple(witness.indices()) == best  # lexicographically least
 
 
+def _random_graph(rnd, n):
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rnd.random() < 0.5:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
 def test_max_clique_against_subset_scan():
     rnd = random.Random(400)
     for _ in range(20):
         n = rnd.randint(4, 11)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rnd.random() < 0.5:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        adj = _random_graph(rnd, n)
         best = 0
         for size in range(n, 0, -1):
             found = False
@@ -179,34 +185,61 @@ def test_max_clique_against_subset_scan():
             if found:
                 best = size
                 break
-        vertices, _ = _max_clique_masks(adj, n)
+        vertices, _, maxima = _max_clique_masks(adj, n)
+        assert maxima is None  # no cap: the plain search collects nothing
         assert len(vertices) == best
         for a, b in combinations(vertices, 2):
             assert (adj[a] >> b) & 1
 
 
 def test_enumerate_maximum_cliques_against_subset_scan():
-    from partspread.extremal import _enumerate_maximum_cliques
-
     rnd = random.Random(88)
-    for _ in range(15):
-        n = rnd.randint(3, 9)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rnd.random() < 0.5:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+    # edges 0-3, 0-4, 1-2, 1-3, 2-3, 2-4: the search meets two maximal edges,
+    # more than cap 1, before the one triangle, which it must still report
+    graphs = [[0b11000, 0b01100, 0b11010, 0b00111, 0b00101]]
+    graphs += [_random_graph(rnd, rnd.randint(3, 9)) for _ in range(15)]
+    for adj in graphs:
+        n = len(adj)
         size = len(_max_clique_masks(adj, n)[0])
         truth = {
             combo
             for combo in combinations(range(n), size)
             if all((adj[a] >> b) & 1 for a, b in combinations(combo, 2))
         }
-        got = _enumerate_maximum_cliques(adj, n, size, 10**4)
-        assert got is not None and set(got) == truth
-        capped = _enumerate_maximum_cliques(adj, n, size, 0)
+        _, _, got = _max_clique_masks(adj, n, 10**4)
+        assert got is not None and set(got) == truth and len(got) == len(truth)
+        _, _, capped = _max_clique_masks(adj, n, 0)
         assert capped is None  # cap exceeded reports unknown
+        _, _, at_cap = _max_clique_masks(adj, n, len(truth))
+        assert at_cap is not None and set(at_cap) == truth
+        if len(truth) > 1:
+            assert _max_clique_masks(adj, n, len(truth) - 1)[2] is None
+
+
+# a graph on n <= 12 vertices: bit k of the integer is the k-th vertex pair
+graph_st = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_st, st.integers(0, 8))
+def test_capped_search_matches_plain_search(graph, cap):
+    n, edges = graph
+    adj = [0] * n
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        if edges >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    plain = _max_clique_masks(adj, n)
+    capped = _max_clique_masks(adj, n, cap)
+    every = _max_clique_masks(adj, n, 10**4)[2]  # n <= 12: at most 924 maxima
+    assert capped[0] == plain[0]
+    assert capped[1] >= plain[1]  # tied bounds branch too
+    assert tuple(plain[0]) in every
+    # None exactly when the maxima outnumber the cap, even after smaller
+    # sizes overflowed it earlier in the search
+    assert capped[2] == (every if len(every) <= cap else None)
 
 
 def test_exactpow_total_order_against_mpmath():
