@@ -40,6 +40,7 @@ from .partitions import (
     enumerate_into_blocks,
     enumerate_partitions,
     enumerate_profiled,
+    iter_partitions,
     stirling2,
     tilde_bell,
     u_count,
@@ -185,19 +186,19 @@ def _family_from_indices(universe, text: str) -> SetFamily:
 
 def _run_count(args) -> list[Record]:
     if args.what == "bell":
-        value = bell(args.n)
+        value = bell(_required(args, "n"))
         params = {"n": args.n}
     elif args.what == "stirling2":
-        value = stirling2(args.n, args.l)
+        value = stirling2(_required(args, "n"), _required(args, "l"))
         params = {"n": args.n, "l": args.l}
     elif args.what == "tilde-bell":
-        value = tilde_bell(args.n)
+        value = tilde_bell(_required(args, "n"))
         params = {"n": args.n}
     elif args.what == "profiled":
         value = count_profiled(_parse_profile(_required(args, "profile")))
         params = {"profile": args.profile}
     elif args.what == "uniform":
-        value = u_count(args.k, args.l)
+        value = u_count(_required(args, "k"), _required(args, "l"))
         params = {"k": args.k, "l": args.l}
     elif args.what == "derangements":
         value = count_derangements(_parse_partition(_required(args, "partition")))
@@ -208,22 +209,23 @@ def _run_count(args) -> list[Record]:
 
 
 def _run_enumerate(args) -> list[Record]:
+    """Count the partitions while iterating; keep them only for --list."""
     if args.what == "partitions":
-        fam = enumerate_partitions(args.n)
+        fam = iter_partitions(_required(args, "n"))
         params = {"n": args.n}
     elif args.what == "blocks":
-        fam = enumerate_into_blocks(args.n, args.l)
+        fam = enumerate_into_blocks(_required(args, "n"), _required(args, "l"))
         params = {"n": args.n, "l": args.l}
     elif args.what == "profiled":
         fam = enumerate_profiled(_parse_profile(_required(args, "profile")))
         params = {"profile": args.profile}
     else:
         raise DomainError(f"unknown enumeration {args.what!r}")
-    recs = [Record.make("enumerate", params, len(fam), "-", "-", INFO)]
-    if args.list:
-        for i, p in enumerate(fam):
-            recs.append(Record.make("partition", {"i": i}, repr(p), "-", "-", INFO))
-    return recs
+    count, listed = 0, []
+    for count, p in enumerate(fam, 1):
+        if args.list:
+            listed.append(Record.make("partition", {"i": count - 1}, repr(p), "-", "-", INFO))
+    return [Record.make("enumerate", params, count, "-", "-", INFO)] + listed
 
 
 def _run_spread(args) -> list[Record]:
@@ -356,24 +358,28 @@ def _run_reduce(args) -> list[Record]:
 
 def _run_extremal(args) -> list[Record]:
     if args.what == "conjecture":
-        rep = check_conjecture_instance(args.k, args.l, args.t)
+        rep = check_conjecture_instance(
+            _required(args, "k"), _required(args, "l"), _required(args, "t")
+        )
         return rep.records()
     if args.what == "oracle":
         if args.setting == "bell":
-            universe = enumerate_partitions(args.n)
+            universe = enumerate_partitions(_required(args, "n"))
             params = {"setting": "bell", "n": args.n}
         elif args.setting == "blocks":
-            universe = enumerate_into_blocks(args.n, args.l)
+            universe = enumerate_into_blocks(_required(args, "n"), _required(args, "l"))
             params = {"setting": "blocks", "n": args.n, "l": args.l}
         elif args.setting == "uniform":
-            universe = enumerate_profiled(Profile.uniform(args.k, args.l))
+            universe = enumerate_profiled(
+                Profile.uniform(_required(args, "k"), _required(args, "l"))
+            )
             params = {"setting": "uniform", "k": args.k, "l": args.l}
         elif args.setting == "profiled":
             universe = enumerate_profiled(_parse_profile(_required(args, "profile")))
             params = {"setting": "profiled", "profile": args.profile}
         else:
             raise DomainError(f"unknown oracle setting {args.setting!r}")
-        res = max_compatible_family(universe, args.predicate, args.t)
+        res = max_compatible_family(universe, args.predicate, _required(args, "t"))
         params.update({"predicate": args.predicate, "t": args.t, "nodes": res.nodes})
         return [
             Record.make(
@@ -396,7 +402,7 @@ def _run_extremal(args) -> list[Record]:
             )
         ]
     if args.what == "catalog":
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(_required(args, "file"), "r", encoding="utf-8") as fh:
             records = run_catalog(fh.read())
         if args.results:
             with open(args.results, "a", encoding="utf-8") as fh:
@@ -407,13 +413,13 @@ def _run_extremal(args) -> list[Record]:
 
 def _run_verify(args) -> list[Record]:
     if args.what == "bell-ratio":
-        rep = check_bell_ratio(args.n_max)
+        rep = check_bell_ratio(_required(args, "n_max"))
     elif args.what == "dobinski":
-        rep = check_dobinski(args.n, args.s_max)
+        rep = check_dobinski(_required(args, "n"), _required(args, "s_max"))
     elif args.what == "no-singleton":
-        rep = check_no_singleton_bound(args.s_max)
+        rep = check_no_singleton_bound(_required(args, "s_max"))
     elif args.what == "stirling-growth":
-        rep = check_stirling_growth(args.l_max, args.n_cap)
+        rep = check_stirling_growth(_required(args, "l_max"), _required(args, "n_cap"))
     elif args.what == "spreadness":
         rep = check_encoded_spreadness(
             args.setting,

@@ -219,26 +219,48 @@ def iter_rgs(n: int) -> Iterator[list[int]]:
             b[i] = nb
 
 
-def _blocks_from_rgs(rgs: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    nblocks = (max(rgs) + 1) if n else 0
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for i, lab in enumerate(rgs):
-        blocks[lab].append(i + 1)
-    # labels appear in first-seen order, so block minima are increasing
-    return tuple(tuple(b) for b in blocks)
+def _canonical_blocks(
+    n: int, lo: int, hi: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Canonical blocks of the partitions of [n] with lo..hi blocks, RGS order.
+
+    Grows each partition from its prefix: element e joins block 0..k-1 or
+    opens block k, so children come out in lexicographic order of their
+    growth strings.  A branch is cut as soon as its final block count cannot
+    land in [lo, hi].  Siblings share their unchanged block tuples.
+    """
+    limit = guards.current().enum_max_n
+    if n > limit:
+        raise ResourceLimitError(
+            f"ENUM_MAX_N: n={n} exceeds the enumeration guard {limit}"
+        )
+    if n == 0:
+        if lo <= 0 <= hi:
+            yield ()
+        return
+    stack: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 1)]
+    while stack:
+        blocks, e = stack.pop()
+        k = len(blocks)
+        children = []
+        if k + n - e >= lo:  # joining keeps k blocks, n - e elements may still open
+            children = [
+                blocks[:i] + (blocks[i] + (e,),) + blocks[i + 1 :] for i in range(k)
+            ]
+        if k < hi:
+            children.append(blocks + ((e,),))
+        if e == n:
+            yield from children
+        else:
+            stack.extend((c, e + 1) for c in reversed(children))
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
     """All partitions of [n] in canonical (RGS-lexicographic) order."""
     if n < 0:
         raise DomainError("iter_partitions needs n >= 0")
-    limit = guards.current().enum_max_n
-    if n > limit:
-        raise ResourceLimitError(
-            f"ENUM_MAX_N: n={n} exceeds the enumeration guard {limit}"
-        )
-    for rgs in iter_rgs(n):
-        yield Partition._trusted(n, _blocks_from_rgs(rgs, n))
+    for blocks in _canonical_blocks(n, 0, n):
+        yield Partition._trusted(n, blocks)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -250,7 +272,7 @@ def enumerate_into_blocks(n: int, l: int) -> list[Partition]:
     """All partitions of [n] with exactly l blocks; length stirling2(n, l)."""
     if l < 1 or l > n:
         raise DomainError(f"need 1 <= l <= n, got l={l}, n={n}")
-    return [p for p in iter_partitions(n) if p.num_blocks == l]
+    return [Partition._trusted(n, b) for b in _canonical_blocks(n, l, l)]
 
 
 def _gen_profiled(
@@ -295,13 +317,15 @@ def enumerate_uniform(k: int, l: int) -> list[Partition]:
 
 
 def count_derangements(p: Partition) -> int:
-    """Partitions of [n] sharing no block with p, counted by enumeration."""
+    """Partitions of [n] sharing no block with p, counted by enumeration.
+
+    Walks the canonical block tuples of every partition of [n] (guarded by
+    ``enum_max_n``) and counts those disjoint from p's blocks; no Partition
+    is built.  Equals the inclusion-exclusion sum over sets S of p's blocks
+    of (-1)^|S| B(n - |union S|).
+    """
     own = set(p.blocks)
-    return sum(
-        1
-        for q in iter_partitions(p.n)
-        if not own.intersection(q.blocks)
-    )
+    return sum(1 for blocks in _canonical_blocks(p.n, 0, p.n) if own.isdisjoint(blocks))
 
 
 # ---------------------------------------------------------------------------

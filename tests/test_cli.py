@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
 from partspread.cli import main
@@ -215,6 +218,19 @@ def test_sunflower_and_covering_cli(capsys):
         ("verify containment --r 2 --m 1 --delta 1/2", "--family"),
         ("verify nonintersect --k 2 --l 3 --t 2 --y 1,3|2,4|5,6", "--t-set"),
         ("verify nonintersect --k 2 --l 3 --t 2 --t-set 1,2", "--y"),
+        ("count bell", "--n"),
+        ("count stirling2 --n 4", "--l"),
+        ("count tilde-bell", "--n"),
+        ("count uniform --k 2", "--l"),
+        ("enumerate partitions", "--n"),
+        ("enumerate blocks --n 5", "--l"),
+        ("extremal conjecture --k 2 --l 3", "--t"),
+        ("extremal oracle --setting bell --t 1", "--n"),
+        ("extremal catalog", "--file"),
+        ("verify bell-ratio", "--n-max"),
+        ("verify dobinski --n 5", "--s-max"),
+        ("verify no-singleton", "--s-max"),
+        ("verify stirling-growth --l-max 3", "--n-cap"),
     ],
 )
 def test_missing_flag_is_usage_error(capsys, argv, flag):
@@ -223,3 +239,49 @@ def test_missing_flag_is_usage_error(capsys, argv, flag):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.rstrip().endswith(f"needs {flag}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate blocks --n 14 --l 3",
+        "enumerate partitions --n 14",
+        "count derangements --partition 1,2,3|4,5|6|7,8,9,10|11,12,13,14",
+    ],
+)
+def test_enumeration_guard_refusal(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the enumeration guard 13\n"
+
+
+def test_enumerate_streams_its_count(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "partitions", "--n", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "115975" in capsys.readouterr().out
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("enumerate partitions --n 4 --list",
+         "d53adf52740fa6009f1f2e133d13c48e14d5127c1a96f55028e39e601fa5ae6e"),
+        ("enumerate blocks --n 5 --l 3 --list",
+         "ff034290c228eea1fa28b528555540a1491537f656ea67fa69835a44d29e8cec"),
+        ("enumerate partitions --n 4 --list --format structured-records",
+         "5f8053f81206dce6a445c2635f8fa52d4926edcd1f01c4622247c58d4b04ecbc"),
+        ("enumerate blocks --n 5 --l 3 --list --format structured-records",
+         "093748d94ec4b373ad5b7a67680b8f333dae5fc96d40b4d4d323c7f8d3641c9c"),
+    ],
+)
+def test_enumerate_list_output_pinned(capsys, argv, digest):
+    # sha256 of the reports as first released, listing order included
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from partspread.partitions import (
     enumerate_partitions,
     enumerate_profiled,
     iter_partitions,
+    iter_rgs,
     partially_t_intersect,
     stirling2,
     t_intersect,
@@ -84,6 +86,53 @@ def test_enumeration_guard():
     with guards.limited(enum_max_n=14):
         it = iter_partitions(14)
         next(it)
+
+
+def _rgs_blocks(n):
+    """Reference enumeration: group each growth string of iter_rgs into blocks."""
+    out = []
+    for rgs in iter_rgs(n):
+        blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for i, lab in enumerate(rgs):
+            blocks[lab].append(i + 1)
+        out.append(tuple(tuple(b) for b in blocks))
+    return out
+
+
+def test_enumeration_matches_rgs_reference():
+    for n in range(10):
+        ref = _rgs_blocks(n)
+        assert [p.blocks for p in iter_partitions(n)] == ref
+        for l in range(1, n + 1):
+            got = [p.blocks for p in enumerate_into_blocks(n, l)]
+            assert got == [b for b in ref if len(b) == l]
+
+
+def test_count_derangements_inclusion_exclusion():
+    # partitions containing the blocks S are the partitions of the rest
+    for n in range(8):
+        for p in iter_partitions(n):
+            expected = sum(
+                (-1) ** r * bell(n - sum(map(len, chosen)))
+                for r in range(p.num_blocks + 1)
+                for chosen in combinations(p.blocks, r)
+            )
+            assert count_derangements(p) == expected
+
+
+def test_enumeration_guard_parity():
+    at, above = Partition([range(1, 6)]), Partition([range(1, 7)])
+    with guards.limited(enum_max_n=5):
+        assert sum(1 for _ in iter_partitions(5)) == bell(5)
+        assert len(enumerate_into_blocks(5, 2)) == stirling2(5, 2)
+        assert count_derangements(at) == bell(5) - 1
+        it = iter_partitions(6)
+        with pytest.raises(ResourceLimitError, match="ENUM_MAX_N: n=6 exceeds the enumeration guard 5"):
+            next(it)
+        with pytest.raises(ResourceLimitError, match="ENUM_MAX_N: n=6 exceeds"):
+            enumerate_into_blocks(6, 2)
+        with pytest.raises(ResourceLimitError, match="ENUM_MAX_N: n=6 exceeds"):
+            count_derangements(above)
 
 
 def test_enumerate_into_blocks():
