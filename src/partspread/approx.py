@@ -155,6 +155,8 @@ def verify_approx(
     """
     r = as_fraction(r)
     r0 = as_fraction(r0)
+    if r0 <= 0:
+        raise DomainError("verify_approx needs r0 > 0")
     # integrity: cores + remainder partition the input family
     peeled_masks: list[int] = []
     for fam in res.core_families:
@@ -222,12 +224,7 @@ def verify_approx(
         )
     )
 
-    pairwise_ok = True
-    for i in range(len(res.cores)):
-        for j in range(i, len(res.cores)):
-            inter = res.cores[i].intersection(res.cores[j]).size
-            if inter < t:
-                pairwise_ok = False
+    pairwise_ok = _is_t_intersecting([c.mask for c in res.cores], t)
     recs.append(
         Record.make(
             "approx-cores-t-intersect",
@@ -560,6 +557,8 @@ def check_dominance(
     if not _is_t_intersecting(list(s.masks), t):
         raise PreconditionError("family is not t-intersecting")
     eps = as_fraction(eps)
+    if eps <= 0:
+        raise DomainError("check_dominance needs eps > 0")
     common = s.masks[0]
     for m in s.masks:
         common &= m

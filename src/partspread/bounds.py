@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .errors import DomainError
+
 DEFAULT_EPS = Fraction(1, 10**40)
 
 
@@ -52,7 +54,7 @@ def ln_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fr
     """Rational lo <= ln(x) <= hi with hi - lo < eps, for rational x > 0."""
     x = Fraction(x)
     if x <= 0:
-        raise ValueError("ln needs a positive argument")
+        raise DomainError("ln needs a positive argument")
     if x < 1:
         lo, hi = ln_enclosure(1 / x, eps)
         return -hi, -lo
@@ -100,7 +102,7 @@ def exceeds_log2(x, m) -> bool:
     x = Fraction(x)
     m = Fraction(m)
     if m <= 0:
-        raise ValueError("log2 needs a positive argument")
+        raise DomainError("log2 needs a positive argument")
     p, q = x.numerator, x.denominator
     # x > log2(m)  <=>  2**x > m  <=>  2**(p/q) > m  <=>  2**p > m**q
     return Fraction(2) ** p > m**q
@@ -111,5 +113,5 @@ def at_least_log2(x, m) -> bool:
     x = Fraction(x)
     m = Fraction(m)
     if m <= 0:
-        raise ValueError("log2 needs a positive argument")
+        raise DomainError("log2 needs a positive argument")
     return Fraction(2) ** x.numerator >= m**x.denominator

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import guards
 from .approx import (
@@ -21,7 +20,7 @@ from .approx import (
     spread_approximate,
     verify_approx,
 )
-from .encoding import encode_family_edges, encode_parts
+from .encoding import encode_family_edges, encode_family_parts
 from .errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from .exact import parse_ratio
 from .extremal import (
@@ -46,14 +45,7 @@ from .partitions import (
     u_count,
 )
 from .report import FAIL, INFO, PASS, Record, records_to_table, records_to_text
-from .setfam import (
-    PartsUniverse,
-    SetFamily,
-    covering_number,
-    family_from_text,
-    family_to_text,
-    mask_indices,
-)
+from .setfam import SetFamily, covering_number, family_from_text, family_to_text, mask_indices
 from .spread import find_sunflower, is_r_spread, spread_factor, weak_spread
 from .verify import (
     check_bell_ratio,
@@ -78,14 +70,6 @@ GUARD_FLAGS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-    out: str | None = None
-    fmt: str = "text-table"
-
-
 def _required(args, name: str):
     """The value of a flag that the chosen subcommand cannot run without."""
     value = getattr(args, name)
@@ -95,34 +79,38 @@ def _required(args, name: str):
     return value
 
 
+def _parse_int_list(text: str, count: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers, exactly `count` of them when count is given."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise DomainError(f"expected {count or 'some'} comma-separated integer(s), got {text!r}")
+    return values
+
+
 def _parse_profile(text: str) -> Profile:
-    return Profile(tuple(int(x) for x in text.split(",")))
+    return Profile(_parse_int_list(text))
 
 
 def _parse_partition(text: str) -> Partition:
-    blocks = [[int(e) for e in blk.split(",")] for blk in text.split("|")]
-    return Partition(blocks)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return Partition([_parse_int_list(blk) for blk in text.split("|")])
 
 
 def _spec_partitions(spec: str):
     """Partition list plus encoding kind for a partition-backed family spec."""
     kind, _, rest = spec.partition(":")
     if kind == "bell":
-        return "parts", enumerate_partitions(int(rest))
+        return "parts", enumerate_partitions(*_parse_int_list(rest, 1))
     if kind == "blocks":
-        n, l = _parse_int_list(rest)
-        return "parts", enumerate_into_blocks(n, l)
+        return "parts", enumerate_into_blocks(*_parse_int_list(rest, 2))
     if kind == "profiled":
         return "parts", enumerate_profiled(_parse_profile(rest))
     if kind == "kl":
-        k, l = _parse_int_list(rest)
-        return "edges", enumerate_profiled(Profile.uniform(k, l))
+        return "edges", enumerate_profiled(Profile.uniform(*_parse_int_list(rest, 2)))
     if kind == "ct":
-        k, l, t = _parse_int_list(rest)
+        k, l, t = _parse_int_list(rest, 3)
         fam, _ = canonical_family(
             CanonicalSpec(setting="partial", profile=Profile.uniform(k, l), t=t)
         )
@@ -132,52 +120,34 @@ def _spec_partitions(spec: str):
     raise DomainError(f"unknown family spec {spec!r}")
 
 
-def load_family(spec: str):
+def load_family(spec: str, universe=None):
     """Build (universe, family) from a family spec string.
 
     Specs: bell:N | blocks:N,L | profiled:K1,K2,... | kl:K,L | ct:K,L,T
     | file:PATH.  The first three are parts-encoded, kl and ct are
-    edge-encoded, file loads the text format over a plain universe.
+    edge-encoded, file loads the text format over a plain universe.  With a
+    universe given, the family is encoded over it (shared index space).
     """
     encoding, payload = _spec_partitions(spec)
     if encoding == "file":
         with open(payload, "r", encoding="utf-8") as fh:
-            f = family_from_text(fh.read())
+            f = family_from_text(fh.read(), universe=universe)
         return f.universe, f
-    if encoding == "edges":
-        return encode_family_edges(payload)
-    u = PartsUniverse(payload[0].n)
-    return u, SetFamily(u, [encode_parts(p, u).mask for p in payload])
+    if universe is not None and (universe.kind != encoding or universe.n != payload[0].n):
+        raise DomainError(f"family spec {spec!r} does not match the ambient universe")
+    encode = encode_family_edges if encoding == "edges" else encode_family_parts
+    return encode(payload, universe)
 
 
 def load_subfamily(spec: str, universe) -> SetFamily:
     """Build a family over an existing universe (shared index space)."""
-    encoding, payload = _spec_partitions(spec)
-    if encoding == "file":
-        with open(payload, "r", encoding="utf-8") as fh:
-            return family_from_text(fh.read(), universe=universe)
-    if encoding == "edges":
-        if universe.kind != "edges" or universe.n != payload[0].n:
-            raise DomainError(f"family spec {spec!r} does not match the ambient universe")
-        from .encoding import encode_edges
-
-        return SetFamily(universe, [encode_edges(p, universe).mask for p in payload])
-    if universe.kind != "parts" or universe.n != payload[0].n:
-        raise DomainError(f"family spec {spec!r} does not match the ambient universe")
-    return SetFamily(universe, [encode_parts(p, universe).mask for p in payload])
+    return load_family(spec, universe)[1]
 
 
 def _family_from_indices(universe, text: str) -> SetFamily:
     """Parse 'i,j;k,l;...' into a family over an existing universe."""
-    masks = []
-    for part in text.split(";"):
-        mask = 0
-        for tok in part.split(","):
-            tok = tok.strip()
-            if tok:
-                mask |= 1 << int(tok)
-        masks.append(mask)
-    return SetFamily(universe, masks)
+    lines = [f"N {universe.size}"] + [part.replace(",", " ") for part in text.split(";")]
+    return family_from_text("\n".join(lines) + "\n", universe=universe)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +213,7 @@ def _run_spread(args) -> list[Record]:
             )
         ]
     if args.what == "check":
-        r = parse_ratio(args.r)
+        r = parse_ratio(_required(args, "r"))
         ok, witness = is_r_spread(fam, r)
         return [
             Record.make(
@@ -256,7 +226,7 @@ def _run_spread(args) -> list[Record]:
             )
         ]
     if args.what == "weak":
-        t_set, r, witness = weak_spread(fam, args.t)
+        t_set, r, witness = weak_spread(fam, _required(args, "t"))
         return [
             Record.make(
                 "spread-weak",
@@ -268,7 +238,7 @@ def _run_spread(args) -> list[Record]:
             )
         ]
     if args.what == "sunflower":
-        got = find_sunflower(fam, args.l)
+        got = find_sunflower(fam, _required(args, "l"))
         if got is None:
             return [
                 Record.make(
@@ -422,7 +392,7 @@ def _run_verify(args) -> list[Record]:
         rep = check_stirling_growth(_required(args, "l_max"), _required(args, "n_cap"))
     elif args.what == "spreadness":
         rep = check_encoded_spreadness(
-            args.setting,
+            _required(args, "setting"),
             n=args.n,
             l=args.l,
             t=args.t,
@@ -434,21 +404,17 @@ def _run_verify(args) -> list[Record]:
     elif args.what == "containment":
         _, fam = load_family(_required(args, "family"))
         rep = check_random_containment(
-            fam, parse_ratio(args.r), args.m, parse_ratio(args.delta),
-            args.trials, args.seed,
+            fam, parse_ratio(_required(args, "r")), _required(args, "m"),
+            parse_ratio(_required(args, "delta")), args.trials, args.seed,
         )
     elif args.what == "nonintersect":
         rep = check_nonintersect_count(
-            args.k, args.l, args.t, _parse_int_list(_required(args, "t_set")),
-            _parse_partition(_required(args, "y")),
+            _required(args, "k"), _required(args, "l"), _required(args, "t"),
+            _parse_int_list(_required(args, "t_set")), _parse_partition(_required(args, "y")),
         )
     else:
         raise DomainError(f"unknown verify op {args.what!r}")
-    head = Record.make(rep.name, rep.params, "-", "-", "-", rep.verdict)
-    notes = [
-        Record.make(rep.name + "-note", {}, "-", "-", note, INFO) for note in rep.notes
-    ]
-    return [head] + rep.records() + notes
+    return rep.records()
 
 
 def _run_export(args) -> list[Record]:
@@ -584,23 +550,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(config: RunConfig) -> int:
+def run(args) -> int:
     """Execute one command, write its report, return the exit code."""
-    handler = HANDLERS[config.command]
     try:
-        records = handler(config.args)
-    except (DomainError, PreconditionError, ResourceLimitError, IntegrityError,
-            FileNotFoundError, ValueError, TypeError) as exc:
+        records = HANDLERS[args.command](args)
+        if args.format == "structured-records":
+            text = records_to_text(records)
+        else:
+            text = records_to_table(records)
+        sys.stdout.write(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (DomainError, PreconditionError, ResourceLimitError, IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.fmt == "structured-records":
-        text = records_to_text(records)
-    else:
-        text = records_to_table(records)
-    sys.stdout.write(text)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return 1 if any(r.verdict == FAIL for r in records) else 0
 
 
@@ -610,16 +574,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = RunConfig(
-        command=args.command,
-        args=args,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "text-table"),
-    )
     flags = vars(args)
     given = {f: flags[f] for f in GUARD_FLAGS.values() if flags[f] is not None}
     with guards.limited(**given):
-        return run(config)
+        return run(args)
 
 
 if __name__ == "__main__":

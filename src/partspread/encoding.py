@@ -183,26 +183,22 @@ def extension_ratio(k: int, l: int, x: SubPartition) -> Fraction:
 
 
 def encode_family_parts(
-    partitions: Sequence[Partition],
+    partitions: Sequence[Partition], u: PartsUniverse | None = None
 ) -> tuple[PartsUniverse, SetFamily]:
-    """Parts-encode a list of partitions over a fresh lazy universe."""
+    """Parts-encode a list of partitions, over a fresh lazy universe unless u is given."""
     if not partitions:
         raise DomainError("cannot encode an empty list of partitions")
-    n = partitions[0].n
-    u = PartsUniverse(n)
-    masks = []
-    for p in partitions:
-        masks.append(encode_parts(p, u).mask)
-    return u, SetFamily(u, masks)
+    if u is None:
+        u = PartsUniverse(partitions[0].n)
+    return u, SetFamily(u, [encode_parts(p, u).mask for p in partitions])
 
 
 def encode_family_edges(
-    partitions: Sequence[Partition],
+    partitions: Sequence[Partition], u: EdgesUniverse | None = None
 ) -> tuple[EdgesUniverse, SetFamily]:
-    """Edge-encode a list of partitions over the full pair universe."""
+    """Edge-encode a list of partitions, over the full pair universe unless u is given."""
     if not partitions:
         raise DomainError("cannot encode an empty list of partitions")
-    n = partitions[0].n
-    u = EdgesUniverse(n)
-    masks = [encode_edges(p, u).mask for p in partitions]
-    return u, SetFamily(u, masks)
+    if u is None:
+        u = EdgesUniverse(partitions[0].n)
+    return u, SetFamily(u, [encode_edges(p, u).mask for p in partitions])

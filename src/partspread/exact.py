@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import total_ordering
 from math import lcm
 
+from .errors import DomainError
+
 
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -65,9 +67,9 @@ class ExactPow:
         base = as_fraction(base)
         exponent = as_fraction(exponent)
         if base <= 0:
-            raise ValueError("base must be positive")
+            raise DomainError("base must be positive")
         if exponent <= 0:
-            raise ValueError("exponent must be positive")
+            raise DomainError("exponent must be positive")
         self.base = base
         self.exponent = exponent
         self.infinite = False
@@ -139,4 +141,7 @@ class ExactPow:
 
 def parse_ratio(text: str) -> Fraction:
     """Parse 'p/q' or a plain integer/decimal string into a Fraction."""
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{text!r} is not a rational number") from None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import guards
@@ -46,6 +47,9 @@ class CanonicalSpec:
         anchor blocks X_1..X_t (sizes matching the first t profile entries).
     setting "partial": profiled partitions with some block containing a fixed
         t-set T.
+
+    The anchor blocks are consecutive initial segments of [n], the first of
+    size k_1 starting at 1.
     """
 
     setting: str
@@ -53,7 +57,6 @@ class CanonicalSpec:
     l: int = 0
     t: int = 0
     profile: Optional[Profile] = None
-    anchors: Optional[tuple[tuple[int, ...], ...]] = None
     t_set: Optional[tuple[int, ...]] = None
 
 
@@ -67,53 +70,18 @@ def _default_anchors(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(anchors)
 
 
+def has_block_containing(p: Partition, t_set: frozenset[int]) -> bool:
+    """Some block of p contains every element of t_set."""
+    return any(t_set.issubset(b) for b in p.blocks)
+
+
 def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
     """The family of the given construction plus its exact size.
 
     Sizes match the closed forms: bell -> B_(n-t); blocks -> S(n-t, l-t);
     partial over uniform (k,l) -> C(kl-t, k-t) * u(k, l-1).
     """
-    if spec.setting == "bell":
-        n, t = spec.n, spec.t
-        if not 0 <= t <= n:
-            raise DomainError("need 0 <= t <= n")
-        anchors = spec.anchors or _default_anchors([1] * t)
-        _check_anchors(anchors, n, [1] * t)
-        anchor_set = set(anchors)
-        fam = [
-            p
-            for p in enumerate_partitions(n)
-            if anchor_set.issubset(p.blocks)
-        ]
-        expected = bell(n - t)
-    elif spec.setting == "blocks":
-        n, l, t = spec.n, spec.l, spec.t
-        if not 0 <= t <= l <= n:
-            raise DomainError("need 0 <= t <= l <= n")
-        anchors = spec.anchors or _default_anchors([1] * t)
-        _check_anchors(anchors, n, [1] * t)
-        anchor_set = set(anchors)
-        fam = [
-            p
-            for p in enumerate_into_blocks(n, l)
-            if anchor_set.issubset(p.blocks)
-        ]
-        expected = stirling2(n - t, l - t)
-    elif spec.setting == "profiled":
-        profile, t = spec.profile, spec.t
-        if profile is None or not 0 <= t <= profile.num_blocks:
-            raise DomainError("profiled setting needs a profile and 0 <= t <= l")
-        anchors = spec.anchors or _default_anchors(profile.sizes[:t])
-        _check_anchors(anchors, profile.n, profile.sizes[:t])
-        anchor_set = set(anchors)
-        fam = [
-            p
-            for p in enumerate_profiled(profile)
-            if anchor_set.issubset(p.blocks)
-        ]
-        rest = Profile(profile.sizes[t:]) if t < profile.num_blocks else None
-        expected = count_profiled(rest) if rest else 1
-    elif spec.setting == "partial":
+    if spec.setting == "partial":
         profile = spec.profile
         if profile is None:
             raise DomainError("partial setting needs a profile")
@@ -126,33 +94,41 @@ def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
         if t > max(profile.sizes):
             raise DomainError("anchor T larger than every block")
         tf = frozenset(t_set)
-        fam = [
-            p
-            for p in enumerate_profiled(profile)
-            if any(tf.issubset(b) for b in p.blocks)
-        ]
+        fam = [p for p in enumerate_profiled(profile) if has_block_containing(p, tf)]
         expected = _partial_expected(profile, t)
     else:
-        raise DomainError(f"unknown canonical setting {spec.setting!r}")
+        t = spec.t
+        # (universe, anchor block sizes, closed form); the closed form is
+        # computed after the enumeration so that its guard refuses first
+        if spec.setting == "bell":
+            if not 0 <= t <= spec.n:
+                raise DomainError("need 0 <= t <= n")
+            universe = enumerate_partitions(spec.n)
+            sizes, expected = [1] * t, bell(spec.n - t)
+        elif spec.setting == "blocks":
+            if not 0 <= t <= spec.l <= spec.n:
+                raise DomainError("need 0 <= t <= l <= n")
+            universe = enumerate_into_blocks(spec.n, spec.l)
+            sizes, expected = [1] * t, stirling2(spec.n - t, spec.l - t)
+        elif spec.setting == "profiled":
+            profile = spec.profile
+            if profile is None or not 0 <= t <= profile.num_blocks:
+                raise DomainError("profiled setting needs a profile and 0 <= t <= l")
+            universe = enumerate_profiled(profile)
+            rest = profile.sizes[t:]
+            sizes, expected = profile.sizes[:t], count_profiled(Profile(rest)) if rest else 1
+        else:
+            raise DomainError(f"unknown canonical setting {spec.setting!r}")
+        # blocks are ordered by their least element and the anchors are
+        # consecutive segments from 1, so p holds the anchors iff they are
+        # its first t blocks
+        anchors = _default_anchors(sizes)
+        fam = [p for p in universe if p.blocks[:t] == anchors]
     if expected is not None and len(fam) != expected:
         raise IntegrityError(
             f"canonical family size {len(fam)} != closed form {expected}"
         )
     return fam, len(fam)
-
-
-def _check_anchors(anchors, n: int, sizes: Sequence[int]) -> None:
-    flat: set[int] = set()
-    total = 0
-    if len(anchors) != len(sizes):
-        raise DomainError("wrong number of anchor blocks")
-    for anchor, k in zip(anchors, sizes):
-        if len(anchor) != k:
-            raise DomainError(f"anchor {anchor} must have size {k}")
-        total += len(anchor)
-        flat.update(anchor)
-    if len(flat) != total or any(e < 1 or e > n for e in flat):
-        raise DomainError("anchor blocks must be disjoint subsets of [n]")
 
 
 def _partial_expected(profile: Profile, t: int) -> Optional[int]:
@@ -388,16 +364,10 @@ def _canonical_witness_keys(
     k: int, l: int, t: int, universe: Sequence[Partition]
 ) -> set[frozenset[int]]:
     """Vertex-index sets of every canonical family C^T inside the universe."""
-    from itertools import combinations
-
-    index = {p: i for i, p in enumerate(universe)}
     keys = set()
     for t_set in combinations(range(1, k * l + 1), t):
         tf = frozenset(t_set)
-        members = frozenset(
-            index[p] for p in universe if any(tf.issubset(b) for b in p.blocks)
-        )
-        keys.add(members)
+        keys.add(frozenset(i for i, p in enumerate(universe) if has_block_containing(p, tf)))
     return keys
 
 
@@ -437,8 +407,13 @@ def run_catalog(text: str) -> list[Record]:
                 f"catalog line {lineno}: expected 'setting k l t n [expected]'"
             )
         setting = fields[0]
-        k, l, t, n = (None if f == "-" else int(f) for f in fields[1:5])
-        expected = int(fields[5]) if len(fields) == 6 else None
+        try:
+            k, l, t, n = (None if f == "-" else int(f) for f in fields[1:5])
+            expected = int(fields[5]) if len(fields) == 6 else None
+        except ValueError:
+            raise DomainError(f"catalog line {lineno}: fields must be integers or '-'") from None
+        if None in {"partial": (k, l, t), "bell": (t, n), "blocks": (l, t, n)}.get(setting, ()):
+            raise DomainError(f"catalog line {lineno}: a field the {setting} setting uses is '-'")
         if setting == "partial":
             rep = check_conjecture_instance(k, l, t)
             observed = rep.oracle_size

@@ -99,17 +99,10 @@ class CheckReport:
         return self.verdict != FAIL
 
     def records(self) -> list[Record]:
-        return list(self.points)
-
-    def to_text(self) -> str:
-        head = Record.make(
-            self.name, self.params, "-", "-", "-", self.verdict
-        )
-        lines = [head.line()]
-        lines += [r.line() for r in self.points]
-        lines += [f"# finding\t{t}" for t in self.findings]
-        lines += [f"# note\t{t}" for t in self.notes]
-        return "\n".join(lines) + "\n"
+        """The head record with the overall verdict, then the points, then the notes."""
+        head = Record.make(self.name, self.params, "-", "-", "-", self.verdict)
+        notes = [Record.make(self.name + "-note", {}, "-", "-", n, INFO) for n in self.notes]
+        return [head] + self.points + notes
 
 
 def records_to_text(records: list[Record]) -> str:

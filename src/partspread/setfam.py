@@ -303,11 +303,7 @@ def _cover_exists(masks: list[int], min_elem: int, budget: int) -> bool:
             best, best_cnt = opts, c
             if c == 1:
                 break
-    opts = best
-    while opts:
-        low = opts & -opts
-        e = low.bit_length() - 1
-        opts ^= low
+    for e in mask_indices(best):
         rest = [m for m in masks if not (m >> e) & 1]
         if _cover_exists(rest, min_elem, budget - 1):
             return True
@@ -341,11 +337,7 @@ def covering_number(f: SetFamily) -> tuple[int, ElementSet]:
         for m in uncovered:
             union |= m
         union &= ~((1 << nxt) - 1) if nxt else -1
-        m2 = union
-        while m2:
-            low = m2 & -m2
-            e = low.bit_length() - 1
-            m2 ^= low
+        for e in mask_indices(union):
             rest = [m for m in uncovered if not (m >> e) & 1]
             if _cover_exists(rest, e + 1, budget - 1):
                 chosen.append(e)
@@ -373,7 +365,11 @@ def family_from_text(text: str, universe=None) -> SetFamily:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("N "):
         raise DomainError("family text must start with 'N <universe-size>'")
-    size = int(lines[0][2:])
+    try:
+        size = int(lines[0][2:])
+        rows = [[int(tok) for tok in line.split()] for line in lines[1:]]
+    except ValueError:
+        raise DomainError("family text holds a token that is not an integer") from None
     if universe is None:
         universe = PlainUniverse(size)
     elif universe.size != size:
@@ -381,14 +377,9 @@ def family_from_text(text: str, universe=None) -> SetFamily:
             f"universe size {universe.size} does not match header {size}"
         )
     masks = []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
-            masks.append(0)
-            continue
+    for row in rows:
         mask = 0
-        for tok in line.split():
-            i = int(tok)
+        for i in row:
             if not 0 <= i < size:
                 raise DomainError(f"index {i} outside universe of size {size}")
             mask |= 1 << i

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .exact import ExactPow, as_fraction
-from .setfam import ElementSet, SetFamily, restrict
+from .setfam import ElementSet, SetFamily, mask_indices, restrict
 from . import guards
 
 
@@ -176,11 +176,7 @@ def find_max_violating(f: SetFamily, r) -> ElementSet:
         rhs = size * q**s1
         best_e = None
         best_cnt = 0
-        m2 = pool
-        while m2:
-            low = m2 & -m2
-            e = low.bit_length() - 1
-            m2 ^= low
+        for e in mask_indices(pool):
             bit = 1 << e
             cnt = sum(1 for m in containing if m & bit)
             if cnt * lhs_scale >= rhs and cnt > best_cnt:

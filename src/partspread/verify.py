@@ -26,6 +26,7 @@ from .encoding import (
 )
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
+from .extremal import CanonicalSpec, canonical_family, has_block_containing
 from .partitions import (
     Partition,
     Profile,
@@ -579,10 +580,11 @@ def check_nonintersect_count(
         raise DomainError("t_set must have exactly t distinct elements")
     if y.n != k * l or y.profile() != Profile.uniform(k, l):
         raise DomainError("Y must be a uniform (k,l)-partition")
-    if any(tf.issubset(b) for b in y.blocks):
+    if has_block_containing(y, tf):
         raise PreconditionError("Y lies in the canonical family C^T")
-    universe = enumerate_profiled(Profile.uniform(k, l))
-    canonical = [p for p in universe if any(tf.issubset(b) for b in p.blocks)]
+    canonical, size = canonical_family(
+        CanonicalSpec(setting="partial", profile=Profile.uniform(k, l), t_set=tuple(t_set))
+    )
     count = sum(1 for p in canonical if not partially_t_intersect(p, y, t))
     u_full = u_count(k, l)
     rep = CheckReport(
@@ -593,13 +595,13 @@ def check_nonintersect_count(
     lhs = count * l ** (2 * k * k)
     ok = lhs >= u_full
     rep.add(
-        {"Y": repr(y), "count": count, "of": len(canonical)},
+        {"Y": repr(y), "count": count, "of": size},
         Fraction(count),
         Fraction(u_full, l ** (2 * k * k)),
         Fraction(lhs - u_full, l ** (2 * k * k)),
         PASS if ok else FAIL,
     )
     rep.notes.append(
-        f"count is {count}/{len(canonical)} of the canonical family"
+        f"count is {count}/{size} of the canonical family"
     )
     return rep.finalize()

@@ -3,7 +3,13 @@ import tracemalloc
 
 import pytest
 
-from partspread.cli import main
+from partspread import cli
+from partspread.cli import load_family, load_subfamily, main
+from partspread.encoding import encode_edges, encode_parts
+from partspread.errors import DomainError
+from partspread.extremal import CanonicalSpec, canonical_family
+from partspread.partitions import Profile, enumerate_into_blocks, enumerate_uniform
+from partspread.setfam import family_to_text
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -231,6 +237,16 @@ def test_sunflower_and_covering_cli(capsys):
         ("verify dobinski --n 5", "--s-max"),
         ("verify no-singleton", "--s-max"),
         ("verify stirling-growth --l-max 3", "--n-cap"),
+        ("spread check --family bell:3", "--r"),
+        ("spread weak --family bell:4", "--t"),
+        ("spread sunflower --family kl:2,2", "--l"),
+        ("verify containment --family bell:3 --m 1 --delta 1/2", "--r"),
+        ("verify containment --family bell:3 --r 1 --delta 1/2", "--m"),
+        ("verify containment --family bell:3 --r 1 --m 1", "--delta"),
+        ("verify nonintersect --l 3 --t 2 --t-set 1,2 --y 1,3|2,4|5,6", "--k"),
+        ("verify nonintersect --k 2 --t 2 --t-set 1,2 --y 1,3|2,4|5,6", "--l"),
+        ("verify nonintersect --k 2 --l 3 --t-set 1,2 --y 1,3|2,4|5,6", "--t"),
+        ("verify spreadness --k 2 --l 3", "--setting"),
     ],
 )
 def test_missing_flag_is_usage_error(capsys, argv, flag):
@@ -285,3 +301,62 @@ def test_enumerate_list_output_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spread check --family bell:3 --r 1/0",
+        "reduce dominance --family kl:2,3 --s 0 --q 1 --t 1 --eps 0",
+        "reduce dominance --family kl:2,3 --s 0 --q 1 --t 1 --eps 1/0",
+        "approximate --family bell:4 --r 3/2 --q 2 --r0 0 --t 1",
+        "approximate --family bell:4 --r 3/2 --q 2 --r0 -1 --t 1",
+        "verify containment --family bell:3 --r 1 --m 1 --delta 1/0",
+        "reduce minimize --family kl:2,3 --s 0,99 --q 2 --t 1",
+        "verify nonintersect --k 2 --l 2 --t 2 --t-set 1,9 --y 1,3|2,4",
+        "export --family kl:2,2 --path {dir}",
+        "spread factor --family file:{dir}",
+        "count bell --n 5 --out {dir}",
+    ],
+)
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    code = main(argv.format(dir=tmp_path).split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_programming_error_propagates(monkeypatch):
+    def broken(args):
+        raise TypeError("a defect, not a usage error")
+
+    monkeypatch.setitem(cli.HANDLERS, "count", broken)
+    with pytest.raises(TypeError, match="a defect"):
+        main(["count", "bell", "--n", "3"])
+
+
+def test_load_subfamily_encodes_over_the_ambient(tmp_path):
+    u, _ = load_family("bell:5")
+    fam = load_subfamily("blocks:5,2", u)
+    assert fam.universe is u
+    assert list(fam.masks) == [encode_parts(p, u).mask for p in enumerate_into_blocks(5, 2)]
+
+    u, _ = load_family("kl:2,4")
+    fam = load_subfamily("ct:2,4,2", u)
+    canon, _ = canonical_family(
+        CanonicalSpec(setting="partial", profile=Profile.uniform(2, 4), t=2)
+    )
+    assert fam.universe is u
+    assert list(fam.masks) == [encode_edges(p, u).mask for p in canon]
+
+    u, ambient = load_family("kl:2,3")
+    path = tmp_path / "kl23.txt"
+    path.write_text(family_to_text(ambient))
+    fam = load_subfamily(f"file:{path}", u)
+    assert fam.universe is u
+    assert list(fam.masks) == [encode_edges(p, u).mask for p in enumerate_uniform(2, 3)]
+
+    with pytest.raises(DomainError) as exc:
+        load_subfamily("blocks:4,2", load_family("bell:5")[0])
+    assert str(exc.value) == "family spec 'blocks:4,2' does not match the ambient universe"

@@ -17,6 +17,7 @@ from partspread.partitions import (
     count_profiled,
     enumerate_into_blocks,
     enumerate_partitions,
+    enumerate_profiled,
     enumerate_uniform,
     partially_t_intersect,
     stirling2,
@@ -96,11 +97,40 @@ def test_canonical_families_are_cliques():
                 assert pred(p, q, t)
 
 
+def _profiles(n: int, smallest: int = 1):
+    """Every non-decreasing tuple of positive sizes summing to n."""
+    if n == 0:
+        yield ()
+    for k in range(smallest, n + 1):
+        for rest in _profiles(n - k, k):
+            yield (k,) + rest
+
+
+def _anchor_filter(universe, sizes):
+    anchors = set(extremal._default_anchors(sizes))
+    return [p for p in universe if anchors <= set(p.blocks)]
+
+
+def test_canonical_matches_anchor_subset_filter():
+    # reference: a member must contain every anchor block, in any position
+    for n in range(1, 8):
+        universe = enumerate_partitions(n)
+        for t in range(n + 1):
+            fam, _ = canonical_family(CanonicalSpec(setting="bell", n=n, t=t))
+            assert fam == _anchor_filter(universe, [1] * t)
+        for l in range(1, n + 1):
+            universe = enumerate_into_blocks(n, l)
+            for t in range(l + 1):
+                fam, _ = canonical_family(CanonicalSpec(setting="blocks", n=n, l=l, t=t))
+                assert fam == _anchor_filter(universe, [1] * t)
+        for sizes in _profiles(n):
+            universe = enumerate_profiled(Profile(sizes))
+            for t in range(len(sizes) + 1):
+                spec = CanonicalSpec(setting="profiled", profile=Profile(sizes), t=t)
+                assert canonical_family(spec)[0] == _anchor_filter(universe, sizes[:t])
+
+
 def test_canonical_anchor_validation():
-    with pytest.raises(DomainError):
-        canonical_family(
-            CanonicalSpec(setting="bell", n=4, t=2, anchors=((1,), (1,)))
-        )
     with pytest.raises(DomainError):
         canonical_family(
             CanonicalSpec(
