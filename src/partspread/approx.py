@@ -423,10 +423,7 @@ def reduction_sequence(
         raise PreconditionError("family is not t-intersecting")
 
     t_best, r_weak, _ = weak_spread(a, t)
-    if r is None:
-        r_cmp = r_weak
-    else:
-        r_cmp = r if isinstance(r, ExactPow) else ExactPow(as_fraction(r))
+    r_cmp = r_weak if r is None else ExactPow.coerce(r)
     a_t_count = star_count(a, t_best)
 
     report = ReductionReport()
@@ -509,7 +506,7 @@ def reduction_sequence(
                 rhs_txt = "0"
             else:
                 cap = Fraction(q * a_t_count, lhs)
-                ok = r_cmp <= ExactPow(cap) if not r_cmp.infinite else False
+                ok = r_cmp <= ExactPow(cap)
                 rhs_txt = f"{q}*{a_t_count}/r"
             report.add(
                 Record.make(
@@ -591,9 +588,9 @@ def check_dominance(
     if q is None:
         q = max(m.bit_count() for m in s.masks)
     if r is not None:
-        r_val = r if isinstance(r, ExactPow) else ExactPow(as_fraction(r))
+        r_val = ExactPow.coerce(r)
     # eps * r >= 24 q  <=>  r >= 24 q / eps
-    gate = True if r_val.infinite else r_val >= ExactPow(Fraction(24 * q) / eps)
+    gate = r_val >= ExactPow(Fraction(24 * q) / eps)
 
     lhs = stars(a, s.members()).size
     rhs = eps * at_count

@@ -10,19 +10,21 @@ after reducing the argument to [1, 2) by factoring out powers of two; the
 truncation error is enclosed by a geometric tail, so both ends of every
 enclosure are honest rationals.  Default width is 1e-40.
 
-Pure order comparisons against log2 never need an enclosure: for rational
-x = p/q,  x > log2(m)  iff  2**p > m**q, which is decided in integers.
+Powers a**x and b**y of rationals are ordered exactly by one kernel,
+compare_powers; the log2 gates x > log2(m) and x >= log2(m) compare 2**x with m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError
 
 DEFAULT_EPS = Fraction(1, 10**40)
+# compare_powers builds cross powers of at most this many bits
+POWER_BITS = 1 << 16
 
 
 def _atanh_enclosure(y: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -94,24 +96,70 @@ def e_enclosure(eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
             return total, total + tail
 
 
-def exceeds_log2(x, m) -> bool:
-    """Exact decision of x > log2(m) for rational x and rational m > 0.
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, in integers (Newton from above)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
-    Reduced to 2**p > m**q in integers, so no enclosure is involved.
-    """
-    x = Fraction(x)
-    m = Fraction(m)
-    if m <= 0:
-        raise DomainError("log2 needs a positive argument")
-    p, q = x.numerator, x.denominator
-    # x > log2(m)  <=>  2**x > m  <=>  2**(p/q) > m  <=>  2**p > m**q
-    return Fraction(2) ** p > m**q
+
+def primitive_root(base: Fraction) -> tuple[Fraction, int]:
+    """(c, k) with c**k == base and c not a perfect power of a rational."""
+    n, d, k = base.numerator, base.denominator, 1
+    p = 2
+    while p <= max(n, d).bit_length():
+        rn, rd = _iroot(n, p), _iroot(d, p)
+        if rn**p == n and rd**p == d:
+            n, d, k = rn, rd, k * p
+        else:
+            p += 1
+    return Fraction(n, d), k
+
+
+def _normal_form(base: Fraction, e: int) -> tuple[Fraction, int]:
+    """(c, k) with c**k == base**e, c > 1 no perfect power; (1, 0) for the value 1."""
+    if base == 1 or e == 0:
+        return Fraction(1), 0
+    if base < 1:
+        base, e = 1 / base, -e
+    root, k = primitive_root(base)
+    return root, e * k
+
+
+def compare_powers(a, x, b, y) -> int:
+    """Sign of a**x - b**y for rationals a, b > 0 and rationals x, y."""
+    a, x, b, y = Fraction(a), Fraction(x), Fraction(b), Fraction(y)
+    if a <= 0 or b <= 0:
+        raise DomainError("compared powers need positive bases")
+    scale = lcm(x.denominator, y.denominator)
+    p, q = int(x * scale), int(y * scale)
+    if max(abs(p) * max(a.numerator, a.denominator).bit_length(),
+           abs(q) * max(b.numerator, b.denominator).bit_length()) <= POWER_BITS:
+        lhs, rhs = a**p, b**q
+        return (lhs > rhs) - (lhs < rhs)
+    forms = _normal_form(a, p), _normal_form(b, q)
+    if forms[0] == forms[1]:
+        return 0
+    # distinct values have distinct logs, so the enclosures of k*ln(c) separate;
+    # sorted() puts back the ends that a negative k swaps
+    eps = Fraction(1, 2**64)
+    while True:
+        (alo, ahi), (blo, bhi) = (sorted(k * v for v in ln_enclosure(c, eps)) for c, k in forms)
+        if alo > bhi or ahi < blo:
+            return 1 if alo > bhi else -1
+        eps *= eps
+
+
+def exceeds_log2(x, m) -> bool:
+    """Exact decision of x > log2(m) for rational x and rational m > 0."""
+    return compare_powers(2, x, m, 1) > 0
 
 
 def at_least_log2(x, m) -> bool:
-    """Exact decision of x >= log2(m), same reduction as exceeds_log2."""
-    x = Fraction(x)
-    m = Fraction(m)
-    if m <= 0:
-        raise DomainError("log2 needs a positive argument")
-    return Fraction(2) ** x.numerator >= m**x.denominator
+    """Exact decision of x >= log2(m) for rational x and rational m > 0."""
+    return compare_powers(2, x, m, 1) >= 0

@@ -24,22 +24,18 @@ class SubPartition:
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: Iterable[Iterable[int]], max_block: int | None = None):
+    def __init__(self, blocks: Iterable[Iterable[int]]):
         blocks = [tuple(sorted(b)) for b in blocks]
         seen: set[int] = set()
         total = 0
         for b in blocks:
             if len(b) < 2:
                 raise DomainError("subpartition blocks must have size >= 2")
-            if max_block is not None and len(b) > max_block:
-                raise DomainError(
-                    f"block {b} larger than the size cap {max_block}"
-                )
             total += len(b)
             seen.update(b)
         if len(seen) != total:
             raise DomainError("subpartition blocks are not disjoint")
-        blocks.sort(key=lambda b: b[0] if b else 0)
+        blocks.sort(key=lambda b: b[0])
         self.blocks = tuple(blocks)
 
     @property

@@ -2,9 +2,9 @@
 
 Spreadness thresholds are values of the form base**exponent with rational
 base > 0 and rational exponent > 0 (e.g. the best spread factor of a family
-is (|F|/|F(X)|)**(1/|X|)).  Comparing two such values reduces to comparing
-integer powers of rationals, so every decision here is exact; floats only
-ever appear in display output.
+is (|F|/|F(X)|)**(1/|X|)).  Two such values are compared by
+bounds.compare_powers, which decides in integers or certified enclosures,
+so every decision here is exact; floats only ever appear in display output.
 """
 
 from __future__ import annotations
@@ -12,44 +12,17 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import total_ordering
-from math import lcm
 
+from .bounds import compare_powers, primitive_root
 from .errors import DomainError
 
 
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0 and k >= 1, in integers (Newton from above)."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _primitive_root(base: Fraction) -> tuple[Fraction, int]:
-    """(c, k) with c**k == base and c not a perfect power of a rational."""
-    n, d, k = base.numerator, base.denominator, 1
-    p = 2
-    while p <= max(n, d).bit_length():
-        rn, rd = _iroot(n, p), _iroot(d, p)
-        if rn**p == n and rd**p == d:
-            n, d, k = rn, rd, k * p
-        else:
-            p += 1
-    return Fraction(n, d), k
 
 
 @total_ordering
@@ -79,24 +52,17 @@ class ExactPow:
         return cls(1, 1, infinite=True)
 
     @staticmethod
-    def _coerce(other) -> "ExactPow":
-        if isinstance(other, ExactPow):
-            return other
-        return ExactPow(as_fraction(other))
+    def coerce(value) -> "ExactPow":
+        """value itself if it is an ExactPow, else the exact rational value**1."""
+        if isinstance(value, ExactPow):
+            return value
+        return ExactPow(value)
 
     def _cmp(self, other) -> int:
-        other = self._coerce(other)
+        other = self.coerce(other)
         if self.infinite or other.infinite:
-            if self.infinite and other.infinite:
-                return 0
-            return 1 if self.infinite else -1
-        # a**(p/q) vs b**(r/s): raise both to the power lcm(q, s)
-        scale = lcm(self.exponent.denominator, other.exponent.denominator)
-        le = int(self.exponent * scale)
-        re = int(other.exponent * scale)
-        lhs = self.base**le
-        rhs = other.base**re
-        return (lhs > rhs) - (lhs < rhs)
+            return self.infinite - other.infinite
+        return compare_powers(self.base, self.exponent, other.base, other.exponent)
 
     def __eq__(self, other) -> bool:
         try:
@@ -116,7 +82,7 @@ class ExactPow:
             return hash("ExactPow.inf")
         if self.base == 1:
             return hash(1)
-        root, k = _primitive_root(self.base)
+        root, k = primitive_root(self.base)
         exponent = self.exponent * k
         if exponent.denominator == 1:
             e, modulus = exponent.numerator, sys.hash_info.modulus

@@ -35,14 +35,12 @@ class PartsUniverse:
     def size(self) -> int:
         return len(self._parts)
 
-    def index_of(self, part: Iterable[int], register: bool = True) -> int:
+    def index_of(self, part: Iterable[int]) -> int:
         key = frozenset(part)
         if not key or not all(1 <= e <= self.n for e in key):
             raise DomainError(f"block {sorted(key)} is not a nonempty subset of [{self.n}]")
         got = self._index.get(key)
         if got is None:
-            if not register:
-                raise DomainError(f"block {sorted(key)} not registered")
             got = len(self._parts)
             self._index[key] = got
             self._parts.append(key)
@@ -89,6 +87,12 @@ class EdgesUniverse:
         i, j = self.pair_at(idx)
         return f"({i},{j})"
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EdgesUniverse) and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash(("edges", self.n))
+
 
 class PlainUniverse:
     """Universe of bare indices 0..N-1, for files and synthetic families."""
@@ -108,18 +112,6 @@ class PlainUniverse:
 
     def __hash__(self) -> int:
         return hash(("plain", self.size))
-
-
-def same_universe(u, v) -> bool:
-    if u is v:
-        return True
-    if u.kind != v.kind:
-        return False
-    if u.kind == "edges":
-        return u.n == v.n
-    if u.kind == "plain":
-        return u.size == v.size
-    return False  # parts universes are identified by identity (lazy indices)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -178,7 +170,7 @@ class ElementSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ElementSet)
-            and same_universe(self.universe, other.universe)
+            and self.universe == other.universe
             and self.mask == other.mask
         )
 
@@ -231,7 +223,7 @@ class SetFamily:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SetFamily)
-            and same_universe(self.universe, other.universe)
+            and self.universe == other.universe
             and set(self.masks) == set(other.masks)
         )
 
@@ -243,7 +235,7 @@ class SetFamily:
 
 
 def _check_same(f: SetFamily, x: ElementSet) -> None:
-    if not same_universe(f.universe, x.universe):
+    if f.universe != x.universe:
         raise DomainError("family and set live over different universes")
 
 

@@ -119,7 +119,10 @@ def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
     """
     if f.size == 0:
         raise DomainError("spreadness of an empty family")
-    mask = _violator(f, candidate_counts(f), as_fraction(r), largest=False)
+    r = as_fraction(r)
+    if r <= 0:
+        raise DomainError("is_r_spread needs r > 0")
+    mask = _violator(f, candidate_counts(f), r, largest=False)
     if mask is None:
         return True, None
     return False, ElementSet(f.universe, mask)

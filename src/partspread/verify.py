@@ -4,7 +4,7 @@ Every check emits exact lhs/rhs values and a verdict that is reproducible
 bit for bit.  Wherever a transcendental (ln, log2, e) enters an inequality
 it is replaced by a rational bound in the direction that makes "pass"
 harder, so a pass certifies the inequality; order-only comparisons against
-log2 are decided exactly in integers.
+log2 are exact power comparisons (bounds.compare_powers).
 """
 
 from __future__ import annotations
@@ -171,24 +171,21 @@ def _profiled_star_count(sizes: Sequence[int], j: int, corrected: bool) -> int:
     return count
 
 
-def _subpartition_shapes(k: int, l: int, max_weight: int | None = None):
+def _subpartition_shapes(k: int, l: int):
     """Block-size multisets (non-increasing tuples) with sizes in [2, k]."""
     shapes = []
 
-    def grow(prefix: tuple[int, ...], largest: int, weight: int):
+    def grow(prefix: tuple[int, ...], largest: int):
         for size in range(2, largest + 1):
             if len(prefix) + 1 > l:
-                continue
-            w = weight + size - 1
-            if max_weight is not None and w > max_weight:
                 continue
             if sum(prefix) + size > k * l:
                 continue
             shape = prefix + (size,)
             shapes.append(shape)
-            grow(shape, size, w)
+            grow(shape, size)
 
-    grow((), k, 0)
+    grow((), k)
     return shapes
 
 

@@ -1,16 +1,21 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from partspread import bounds
 from partspread.bounds import (
     at_least_log2,
+    compare_powers,
     e_enclosure,
     exceeds_log2,
     ln_enclosure,
     log2_enclosure,
 )
+from partspread.errors import DomainError
 
 mpmath.mp.dps = 60
 
@@ -61,3 +66,109 @@ def test_exact_log2_comparisons():
         truth = _ref(mpmath.log(m, 2))
         assert exceeds_log2(x, m) == (x > truth)
         assert at_least_log2(x, m) == (x >= truth)
+
+
+# ---------------------------------------------------------------------------
+# compare_powers: the integer branch against the enclosure branch
+
+base_st = st.builds(Fraction, st.integers(1, 60), st.integers(1, 20))
+exp_st = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
+# every way to write the value 1: base 1, or exponent 0
+one_st = st.one_of(
+    st.tuples(st.just(Fraction(1)), exp_st),
+    st.tuples(base_st, st.just(Fraction(0))),
+)
+
+
+@st.composite
+def tie_st(draw):
+    """(a, x, b, y) with a**x == b**y: b = a**j with y = x/j, or two forms of 1."""
+    if draw(st.booleans()):
+        return draw(one_st) + draw(one_st)
+    a, x = draw(base_st), draw(exp_st)
+    j = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    return a, x, a**j, x / j
+
+
+case_st = st.one_of(st.tuples(base_st, exp_st, base_st, exp_st), tie_st())
+
+
+def _enclosures_only():
+    return mock.patch.object(bounds, "POWER_BITS", 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_st())
+def test_ties_are_decided_by_the_normal_form(case):
+    # a tie has no separating enclosure, so reaching one would never end
+    def refuse(*args):
+        raise AssertionError("tie reached the enclosure loop")
+
+    assert compare_powers(*case) == 0
+    with _enclosures_only(), mock.patch.object(bounds, "ln_enclosure", refuse):
+        assert compare_powers(*case) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case_st)
+def test_enclosure_branch_agrees_with_integer_branch(case):
+    expected = compare_powers(*case)
+    with _enclosures_only():
+        assert compare_powers(*case) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case_st)
+def test_compare_powers_is_antisymmetric(case):
+    a, x, b, y = case
+    assert compare_powers(a, x, b, y) == -compare_powers(b, y, a, x)
+    with _enclosures_only():
+        assert compare_powers(a, x, b, y) == -compare_powers(b, y, a, x)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**30])
+def test_near_ties_with_negative_exponents(n):
+    # the first enclosures of 2**n and close**n overlap; a negative exponent
+    # reverses the order of both values and the ends of both intervals
+    close = 2 + Fraction(1, 2**70)
+    assert compare_powers(2, n, close, n) == -1
+    assert compare_powers(close, n, 2, n) == 1
+    assert compare_powers(2, -n, close, -n) == 1
+    assert compare_powers(close, -n, 2, -n) == -1
+    assert compare_powers(close, Fraction(-n, 3), 2, Fraction(-n, 3)) == -1
+
+
+def test_compare_powers_rejects_nonpositive_bases():
+    with pytest.raises(DomainError):
+        compare_powers(0, 1, 2, 1)
+    with pytest.raises(DomainError):
+        compare_powers(2, 1, Fraction(-1, 2), 1)
+    with pytest.raises(DomainError):
+        exceeds_log2(1, 0)
+    with pytest.raises(DomainError):
+        at_least_log2(1, Fraction(-1, 2))
+
+
+@st.composite
+def log2_case_st(draw):
+    """(x, m); half the x are rational approximations of log2(m) itself."""
+    m = Fraction(draw(st.integers(1, 10**4)), draw(st.integers(1, 100)))
+    if draw(st.booleans()):
+        x = Fraction(math.log2(m)).limit_denominator(draw(st.integers(1, 10**6)))
+    else:
+        x = Fraction(draw(st.integers(-10**7, 10**7)), draw(st.integers(1, 10**6)))
+    return x, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(log2_case_st())
+def test_log2_gates_against_mpmath(case):
+    x, m = case
+    with mpmath.workdps(80):
+        diff = mpmath.mpf(x.numerator) / x.denominator - mpmath.log(
+            mpmath.mpf(m.numerator) / m.denominator, 2
+        )
+        if abs(diff) < mpmath.mpf(10) ** -60:
+            return  # a near-tie, beyond what 80 digits can order
+    assert exceeds_log2(x, m) == (diff > 0)
+    assert at_least_log2(x, m) == (diff > 0)

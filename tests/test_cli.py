@@ -272,6 +272,21 @@ def test_enumeration_guard_refusal(capsys, argv):
     assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the enumeration guard 13\n"
 
 
+def test_approximate_huge_r_builds_no_power(capsys):
+    # the gate r/2^12 > log2(2k) at r = 10^12 compares 2^(r/2^12) with 8
+    argv = ["approximate", "--family", "bell:4", "--r", "1000000000000", "--q", "3",
+            "--r0", "2000000000000", "--t", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gate = next(line for line in capsys.readouterr().out.splitlines() if "gate-r-vs-log" in line)
+    assert code == 0 and gate.split()[-1] == "pass"
+    assert peak < 10 * 2**20
+
+
 def test_enumerate_streams_its_count(capsys):
     tracemalloc.start()
     try:
@@ -312,6 +327,9 @@ def test_enumerate_list_output_pinned(capsys, argv, digest):
         "approximate --family bell:4 --r 3/2 --q 2 --r0 0 --t 1",
         "approximate --family bell:4 --r 3/2 --q 2 --r0 -1 --t 1",
         "verify containment --family bell:3 --r 1 --m 1 --delta 1/0",
+        "spread check --family bell:4 --r 0",
+        "spread check --family bell:4 --r -1",
+        "verify containment --family bell:3 --r 0 --m 1 --delta 1/2",
         "reduce minimize --family kl:2,3 --s 0,99 --q 2 --t 1",
         "verify nonintersect --k 2 --l 2 --t 2 --t-set 1,9 --y 1,3|2,4",
         "export --family kl:2,2 --path {dir}",

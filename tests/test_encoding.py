@@ -93,8 +93,6 @@ def test_subpartition_weight_and_validation():
         SubPartition([[1]])
     with pytest.raises(DomainError):
         SubPartition([[1, 2], [2, 3]])
-    with pytest.raises(DomainError):
-        SubPartition([[1, 2, 3]], max_block=2)
     x = SubPartition([[1, 2], [3, 4, 5]])
     assert x.weight >= x.num_blocks
 

@@ -24,6 +24,21 @@ from partspread.setfam import (
 )
 
 
+def test_universe_equality():
+    # edge and plain universes are equal by size; a parts universe only to itself
+    e4, p4 = EdgesUniverse(4), PartsUniverse(4)
+    assert EdgesUniverse(4) == e4 and hash(EdgesUniverse(4)) == hash(e4)
+    assert EdgesUniverse(5) != e4 and PlainUniverse(6) != e4 and e4 != PlainUniverse(6)
+    assert PartsUniverse(4) != p4 and p4 == p4
+    assert ElementSet(EdgesUniverse(4), 0b11) == ElementSet(e4, 0b11)
+    assert ElementSet(PlainUniverse(6), 0b11) != ElementSet(e4, 0b11)
+    assert SetFamily(EdgesUniverse(4), [1, 2]) == SetFamily(e4, [2, 1])
+    assert SetFamily(PartsUniverse(4), [1]) != SetFamily(p4, [1])
+    assert restrict(SetFamily(e4, [3]), ElementSet(EdgesUniverse(4), 1)).masks == (2,)
+    with pytest.raises(DomainError):
+        restrict(SetFamily(e4, [3]), ElementSet(PlainUniverse(6), 1))
+
+
 def test_family_dedup_and_average():
     f = family_of(4, {0, 1}, {0, 1}, {2})
     assert f.size == 2

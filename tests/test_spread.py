@@ -495,3 +495,16 @@ def test_exactpow_hash_builds_no_power():
     assert h == pow(2, 10**12, sys.hash_info.modulus)
     modulus = sys.hash_info.modulus
     assert hash(ExactPow(Fraction(1, modulus), 3)) == hash(Fraction(1, modulus**3))
+
+
+def test_exactpow_compare_builds_no_power():
+    # 2**(10**9) and 3**(6*10**8) each have over 10**8 bits
+    big2, big3 = ExactPow(2, 10**9), ExactPow(3, 6 * 10**8)
+    tracemalloc.start()
+    try:
+        got = (big2 < big3, big2 > big3, big2 == big3, ExactPow(4, 10**9) == ExactPow(2, 2 * 10**9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (False, True, False, True)
+    assert peak < 2**20
