@@ -60,7 +60,6 @@ from .spread import (
 )
 from .approx import (
     ApproxResult,
-    ApproxVerdict,
     check_dominance,
     minimize_t_intersecting,
     reduction_sequence,

@@ -10,7 +10,7 @@ out-of-gate exploratory runs stay possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -112,33 +112,6 @@ def spread_approximate(f: SetFamily, r, q: int) -> ApproxResult:
     return ApproxResult(cores, fams, cur, trace, oversized)
 
 
-@dataclass
-class ApproxVerdict:
-    coverage_ok: bool  # (i)  F without F' sits inside A[S]
-    core_spread_ok: list[bool]  # (ii) each F_B(B) is r-spread
-    remainder_ok: bool  # (iii) |F'| <= (r0/r)^(-q-1) |A|
-    remainder_lhs: int
-    remainder_rhs: Fraction
-    pairwise_t_ok: bool  # cores pairwise t-intersect (self pairs included)
-    gate_r_spreadness: Optional[bool]  # r > 2^12 log2(2k)
-    gate_r_2q: bool  # r >= 2q
-    gate_r0_gt_r: bool  # r0 > r
-    gate_ambient_spread: Optional[bool]  # A is r0-spread (None if too big to scan)
-    conservation_ok: bool  # sum |F_B| + |F'| = |F|
-    records_list: list[Record] = field(default_factory=list)
-
-    @property
-    def gates_hold(self) -> bool:
-        return bool(self.gate_r_spreadness) and self.gate_r_2q and self.gate_r0_gt_r
-
-    @property
-    def conclusions_ok(self) -> bool:
-        return self.coverage_ok and all(self.core_spread_ok) and self.remainder_ok
-
-    def records(self) -> list[Record]:
-        return list(self.records_list)
-
-
 def verify_approx(
     res: ApproxResult,
     f: SetFamily,
@@ -147,8 +120,8 @@ def verify_approx(
     r0,
     q: int,
     t: int,
-) -> ApproxVerdict:
-    """Check every guaranteed property of a peeling run, all exactly.
+) -> list[Record]:
+    """Check every guaranteed property of a peeling run, all exactly, as records.
 
     Conclusions and hypothesis gates are evaluated independently: when the
     gates fail the conclusions may still hold and both facts are reported.
@@ -167,8 +140,7 @@ def verify_approx(
     recs: list[Record] = []
 
     remainder_set = set(res.remainder.masks)
-    covered = stars(a, res.cores)
-    covered_masks = set(covered.masks)
+    covered_masks = set(stars(a, res.cores).masks)
     coverage_ok = all(m in covered_masks for m in f.masks if m not in remainder_set)
     recs.append(
         Record.make(
@@ -181,10 +153,8 @@ def verify_approx(
         )
     )
 
-    core_spread_ok = []
     for i, (core, fam) in enumerate(zip(res.cores, res.core_families)):
         ok, witness = is_r_spread(restrict(fam, core), r)
-        core_spread_ok.append(ok)
         recs.append(
             Record.make(
                 "approx-core-spread",
@@ -255,7 +225,6 @@ def verify_approx(
         )
 
     conservation = sum(fam.size for fam in res.core_families) + res.remainder.size
-    conservation_ok = conservation == f.size
     recs.append(
         Record.make(
             "approx-conservation",
@@ -263,24 +232,11 @@ def verify_approx(
             conservation,
             f.size,
             conservation - f.size,
-            PASS if conservation_ok else FAIL,
+            PASS if conservation == f.size else FAIL,
         )
     )
 
-    return ApproxVerdict(
-        coverage_ok=coverage_ok,
-        core_spread_ok=core_spread_ok,
-        remainder_ok=remainder_ok,
-        remainder_lhs=res.remainder.size,
-        remainder_rhs=remainder_rhs,
-        pairwise_t_ok=pairwise_ok,
-        gate_r_spreadness=gate_spread,
-        gate_r_2q=gate_r_2q,
-        gate_r0_gt_r=gate_r0,
-        gate_ambient_spread=gate_ambient,
-        conservation_ok=conservation_ok,
-        records_list=recs,
-    )
+    return recs
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +301,6 @@ def minimize_t_intersecting(s: SetFamily, t: int, p: int) -> SetFamily:
     return SetFamily(s.universe, masks)
 
 
-@dataclass
-class ReductionReport:
-    records_list: list[Record] = field(default_factory=list)
-
-    def add(self, rec: Record) -> None:
-        self.records_list.append(rec)
-
-    def records(self) -> list[Record]:
-        return list(self.records_list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.verdict != FAIL for r in self.records_list)
-
-
 def _forbidden_restriction_exists(fam: SetFamily, bound: int) -> tuple[Optional[bool], int]:
     """Search for G ⊆ fam(X) with |G| > 1 and spread factor > bound.
 
@@ -403,11 +344,11 @@ def reduction_sequence(
     q: int,
     t: int,
     r=None,
-) -> tuple[list[tuple[SetFamily, SetFamily]], ReductionReport]:
+) -> tuple[list[tuple[SetFamily, SetFamily]], list[Record]]:
     """Build the nested families T_0, W_0, T_1, ... and check their properties.
 
     W_i collects the size-(q-i) members of T_i and T_(i+1) re-minimizes the
-    rest under the cap q-i-1.  The report checks, per level: (i) size caps,
+    rest under the cap q-i-1.  The records check, per level: (i) size caps,
     (ii) star-coverage inclusion, (iii) absence of a >(q-i-t+1)-spread
     restricted subfamily with more than one member (skipped above the
     subfamily_scan_max limit), (iv) |W_i| <= (6(q-i))^(q-i-t), and (v) the
@@ -426,15 +367,15 @@ def reduction_sequence(
     r_cmp = r_weak if r is None else ExactPow.coerce(r)
     a_t_count = star_count(a, t_best)
 
-    report = ReductionReport()
+    recs: list[Record] = []
     levels: list[tuple[SetFamily, SetFamily]] = []
-    t_i = minimize_t_intersecting(s, t, q) if s.size else SetFamily(s.universe, [])
+    t_i = minimize_t_intersecting(s, t, q)
     for i in range(0, q - t + 1):
         w_i = SetFamily(t_i.universe, (m for m in t_i.masks if m.bit_count() == q - i))
         levels.append((t_i, w_i))
 
         max_sz = t_i.max_size()
-        report.add(
+        recs.append(
             Record.make(
                 "reduction-size-cap",
                 {"i": i},
@@ -446,7 +387,7 @@ def reduction_sequence(
         )
 
         found, scanned = _forbidden_restriction_exists(t_i, q - i - t + 1)
-        report.add(
+        recs.append(
             Record.make(
                 "reduction-no-spread-subfamily",
                 {"i": i, "bound": q - i - t + 1, "scanned": scanned},
@@ -458,7 +399,7 @@ def reduction_sequence(
         )
 
         w_bound = (6 * (q - i)) ** (q - i - t)
-        report.add(
+        recs.append(
             Record.make(
                 "reduction-w-size",
                 {"i": i},
@@ -470,21 +411,14 @@ def reduction_sequence(
         )
 
         rest = SetFamily(t_i.universe, (m for m in t_i.masks if m.bit_count() != q - i))
-        t_next = (
-            minimize_t_intersecting(rest, t, q - i - 1)
-            if rest.size
-            else SetFamily(t_i.universe, [])
-        )
+        t_next = minimize_t_intersecting(rest, t, q - i - 1)
 
         # (ii) A[T_i] ⊆ A[T_(i+1)] ∪ A[W_i]
-        lhs_fam = stars(a, t_i.members()) if t_i.size else SetFamily(a.universe, [])
-        rhs_masks = set()
-        if t_next.size:
-            rhs_masks.update(stars(a, t_next.members()).masks)
-        if w_i.size:
-            rhs_masks.update(stars(a, w_i.members()).masks)
+        lhs_fam = stars(a, t_i.members())
+        rhs_masks = set(stars(a, t_next.members()).masks)
+        rhs_masks.update(stars(a, w_i.members()).masks)
         cover_ok = all(m in rhs_masks for m in lhs_fam.masks)
-        report.add(
+        recs.append(
             Record.make(
                 "reduction-star-coverage",
                 {"i": i + 1},
@@ -499,7 +433,7 @@ def reduction_sequence(
         next_single = t_next.size == 1 and t_next.max_size() == t
         cur_single = t_i.size == 1 and t_i.max_size() == t
         if next_single and not cur_single:
-            lhs = stars(a, rest.members()).size if rest.size else 0
+            lhs = stars(a, rest.members()).size
             # lhs <= (q/r) |A[T]|  <=>  r <= q*|A[T]| / lhs
             if lhs == 0:
                 ok = True
@@ -508,7 +442,7 @@ def reduction_sequence(
                 cap = Fraction(q * a_t_count, lhs)
                 ok = r_cmp <= ExactPow(cap)
                 rhs_txt = f"{q}*{a_t_count}/r"
-            report.add(
+            recs.append(
                 Record.make(
                     "reduction-handoff",
                     {"i": i + 1, "aT": a_t_count},
@@ -519,35 +453,20 @@ def reduction_sequence(
                 )
             )
         t_i = t_next
-    return levels, report
+    return levels, recs
 
 
 # ---------------------------------------------------------------------------
 # dominance check
 
 
-@dataclass
-class DominanceReport:
-    trivial: bool
-    best_t_set: Optional[ElementSet]
-    lhs: Optional[int]  # |A[S]|
-    rhs: Optional[Fraction]  # eps * |A[T]|
-    conclusion_ok: Optional[bool]
-    gate_ok: Optional[bool]  # eps * r >= 24 q
-    records_list: list[Record] = field(default_factory=list)
-
-    def records(self) -> list[Record]:
-        return list(self.records_list)
-
-
-def check_dominance(
-    a: SetFamily, s: SetFamily, t: int, eps, r=None, q: int | None = None
-) -> DominanceReport:
-    """Compare |A[S]| against eps * |A[T]| for the best t-set T.
+def check_dominance(a: SetFamily, s: SetFamily, t: int, eps, r=None) -> list[Record]:
+    """Compare |A[S]| against eps * |A[T]| for the best t-set T, as records.
 
     A family with a common t-subset is reported trivial (the comparison is
-    not claimed there).  The hypothesis gate eps*r >= 24q is evaluated
-    separately from the conclusion; gate failure never masks the counts.
+    not claimed there).  The hypothesis gate eps*r >= 24q, with q the size of
+    the largest member of S, is evaluated separately from the conclusion;
+    gate failure never masks the counts.
     """
     if s.size == 0:
         raise PreconditionError("core family is empty")
@@ -560,7 +479,6 @@ def check_dominance(
     for m in s.masks:
         common &= m
     trivial = common.bit_count() >= t
-    recs: list[Record] = []
 
     if t < 1:
         raise DomainError("check_dominance needs t >= 1")
@@ -568,12 +486,12 @@ def check_dominance(
         raise DomainError(f"no member of the ambient family has size >= {t}")
     best, r_val, _ = weak_spread(a, t)
     at_count = star_count(a, best)
+    lhs = stars(a, s.members()).size
 
     if trivial:
         # the comparison is not claimed for a family with a common t-set;
         # the counts are still reported
-        lhs = stars(a, s.members()).size
-        recs.append(
+        return [
             Record.make(
                 "dominance",
                 {"t": t, "trivial": True, "T": _set_text(best)},
@@ -582,30 +500,23 @@ def check_dominance(
                 "-",
                 SKIPPED,
             )
-        )
-        return DominanceReport(True, best, lhs, None, None, None, recs)
+        ]
 
-    if q is None:
-        q = max(m.bit_count() for m in s.masks)
+    q = max(m.bit_count() for m in s.masks)
     if r is not None:
         r_val = ExactPow.coerce(r)
     # eps * r >= 24 q  <=>  r >= 24 q / eps
     gate = r_val >= ExactPow(Fraction(24 * q) / eps)
-
-    lhs = stars(a, s.members()).size
     rhs = eps * at_count
-    ok = Fraction(lhs) <= rhs
-    recs.append(
+    return [
         Record.make(
             "dominance",
             {"t": t, "eps": eps, "T": _set_text(best)},
             lhs,
             rhs,
             rhs - lhs,
-            PASS if ok else (FAIL if gate else INFO),
-        )
-    )
-    recs.append(
+            PASS if lhs <= rhs else (FAIL if gate else INFO),
+        ),
         Record.make(
             "dominance-gate",
             {"q": q, "eps": eps},
@@ -613,6 +524,5 @@ def check_dominance(
             24 * q,
             "-",
             PASS if gate else "gated",
-        )
-    )
-    return DominanceReport(False, best, lhs, rhs, ok, gate, recs)
+        ),
+    ]

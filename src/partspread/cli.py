@@ -284,8 +284,7 @@ def _run_approximate(args) -> list[Record]:
     res = spread_approximate(fam, r, args.q)
     recs = res.records()
     if args.r0 is not None and args.t is not None:
-        verdict = verify_approx(res, fam, ambient, r, parse_ratio(args.r0), args.q, args.t)
-        recs += verdict.records()
+        recs += verify_approx(res, fam, ambient, r, parse_ratio(args.r0), args.q, args.t)
     return recs
 
 
@@ -310,7 +309,7 @@ def _run_reduce(args) -> list[Record]:
         ]
     if args.what == "sequence":
         r = parse_ratio(args.r) if args.r else None
-        levels, rep = reduction_sequence(ambient, s, args.q, args.t, r=r)
+        levels, checks = reduction_sequence(ambient, s, args.q, args.t, r=r)
         recs = []
         for i, (t_i, w_i) in enumerate(levels):
             recs.append(
@@ -318,11 +317,10 @@ def _run_reduce(args) -> list[Record]:
                     "reduction-level", {"i": i}, t_i.size, w_i.size, "-", INFO
                 )
             )
-        return recs + rep.records()
+        return recs + checks
     if args.what == "dominance":
         r = parse_ratio(args.r) if args.r else None
-        rep = check_dominance(ambient, s, args.t, parse_ratio(args.eps), r=r)
-        return rep.records()
+        return check_dominance(ambient, s, args.t, parse_ratio(args.eps), r=r)
     raise DomainError(f"unknown reduce op {args.what!r}")
 
 

@@ -115,8 +115,7 @@ def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
             if profile is None or not 0 <= t <= profile.num_blocks:
                 raise DomainError("profiled setting needs a profile and 0 <= t <= l")
             universe = enumerate_profiled(profile)
-            rest = profile.sizes[t:]
-            sizes, expected = profile.sizes[:t], count_profiled(Profile(rest)) if rest else 1
+            sizes, expected = profile.sizes[:t], count_profiled(Profile(profile.sizes[t:]))
         else:
             raise DomainError(f"unknown canonical setting {spec.setting!r}")
         # blocks are ordered by their least element and the anchors are

@@ -161,9 +161,6 @@ class ElementSet:
     def intersection(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.universe, self.mask & other.mask)
 
-    def issubset(self, other: "ElementSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def __contains__(self, idx: int) -> bool:
         return (self.mask >> idx) & 1 == 1
 
@@ -216,9 +213,6 @@ class SetFamily:
 
     def element_set(self, indices: Iterable[int]) -> ElementSet:
         return ElementSet.from_indices(self.universe, indices)
-
-    def __contains__(self, s: ElementSet) -> bool:
-        return s.mask in set(self.masks)
 
     def __eq__(self, other) -> bool:
         return (

@@ -31,6 +31,7 @@ from .partitions import (
     Partition,
     Profile,
     bell,
+    count_profiled,
     enumerate_into_blocks,
     enumerate_partitions,
     enumerate_profiled,
@@ -155,19 +156,15 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
 def _profiled_star_count(sizes: Sequence[int], j: int, corrected: bool) -> int:
     """Partitions containing fixed parts of sizes k_1..k_j: n_j! / prod k_i!.
 
-    With corrected=True the count divides by multiplicities of equal sizes
-    among the free blocks, counting unordered partitions.
+    With corrected=True the free blocks are unordered, which is
+    count_profiled of their sizes.
     """
     free = sizes[j:]
-    n_j = sum(free)
-    count = math.factorial(n_j)
+    if corrected:
+        return count_profiled(Profile(free))
+    count = math.factorial(sum(free))
     for k in free:
         count //= math.factorial(k)
-    if corrected:
-        mult = 1
-        for i, k in enumerate(free):
-            mult = mult + 1 if i > 0 and k == free[i - 1] else 1
-            count //= mult
     return count
 
 

@@ -20,6 +20,12 @@ def family_of(n: int, *index_sets) -> SetFamily:
     return SetFamily(u, [sum(1 << i for i in s) for s in index_sets])
 
 
+def select(records, name: str, **params) -> list:
+    """The records called `name` whose params include every given key=value."""
+    want = {f"{k}={v}" for k, v in params.items()}
+    return [r for r in records if r.name == name and want <= set(r.params.split(","))]
+
+
 @pytest.fixture(scope="session")
 def b4_encoded():
     from partspread.encoding import encode_family_parts

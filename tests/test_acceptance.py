@@ -10,7 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from conftest import family_of, ksubsets_family
+from conftest import family_of, ksubsets_family, select
 from partspread.approx import (
     minimize_t_intersecting,
     reduction_sequence,
@@ -33,7 +33,7 @@ from partspread.partitions import (
     enumerate_into_blocks,
     enumerate_partitions,
     enumerate_uniform,
-    iter_rgs,
+    iter_partitions,
     partially_t_intersect,
     stirling2,
     t_intersect,
@@ -88,13 +88,12 @@ def test_criterion_01_enumeration_consistency():
             assert c == stirling2(n, l)
         for prof, c in profiles.items():
             assert c == count_profiled(prof)
-    # n = 12: no-singleton filter over the raw growth strings
+    # n = 12: no-singleton filter over the production enumeration
     count12 = 0
     no_singleton12 = 0
-    for rgs in iter_rgs(12):
+    for p in iter_partitions(12):
         count12 += 1
-        sizes = Counter(rgs)
-        if all(v >= 2 for v in sizes.values()):
+        if not p.has_singleton():
             no_singleton12 += 1
     assert count12 == bell(12)
     assert no_singleton12 == tilde_bell(12)
@@ -171,12 +170,13 @@ def test_criterion_06_peeling_guarantees():
     corpus.append((star, star, 2**13 + 1, 2**14, 2, 1))
     for f, a, r, r0, q, t in corpus:
         res = spread_approximate(f, r, q)
-        v = verify_approx(res, f, a, r, r0, q, t)
-        assert v.coverage_ok
-        assert all(v.core_spread_ok)
-        assert v.conservation_ok
-        if v.gates_hold:
-            assert v.pairwise_t_ok
+        recs = verify_approx(res, f, a, r, r0, q, t)
+        assert [rec.verdict for rec in select(recs, "approx-coverage")] == ["pass"]
+        assert all(rec.verdict == "pass" for rec in select(recs, "approx-core-spread"))
+        assert [rec.verdict for rec in select(recs, "approx-conservation")] == ["pass"]
+        gates = ("gate-r-vs-log", "gate-r-vs-2q", "gate-r0-vs-r")
+        if all(select(recs, "approx-gate", gate=g)[0].verdict == "pass" for g in gates):
+            assert [rec.verdict for rec in select(recs, "approx-cores-t-intersect")] == ["pass"]
     # the canonical-family run keeps the anchor edge in every core
     f, a = corpus[0][0], corpus[0][1]
     res = spread_approximate(f, 2, 4)
@@ -190,13 +190,13 @@ def test_criterion_06_peeling_guarantees():
 def test_criterion_07_reduction():
     tri = family_of(4, {0, 1}, {1, 2}, {0, 2})
     ambient = ksubsets_family(4, 2)
-    levels, rep = reduction_sequence(ambient, tri, 2, 1)
+    levels, recs = reduction_sequence(ambient, tri, 2, 1)
     (t0_, w0), (t1, _) = levels
     assert set(w0.masks) == set(tri.masks)
     assert t1.size == 0
-    wrec = [r for r in rep.records() if r.name == "reduction-w-size" and r.params == "i=0"][0]
+    (wrec,) = select(recs, "reduction-w-size", i=0)
     assert wrec.lhs == "3" and wrec.rhs == "12" and wrec.verdict == "pass"
-    assert rep.ok
+    assert all(rec.verdict != "fail" for rec in recs)
     out = minimize_t_intersecting(family_of(4, {0, 1}, {0, 2}), 1, 2)
     assert list(out.masks) == [0b0001]
 

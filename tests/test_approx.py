@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import family_of, ksubsets_family
+from conftest import family_of, ksubsets_family, select
 from partspread.approx import (
     check_dominance,
     minimize_t_intersecting,
@@ -17,8 +17,19 @@ from partspread import approx, guards, spread
 from partspread.errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
 from partspread.partitions import Profile, enumerate_uniform
+from partspread.report import records_to_text
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict
 from partspread.spread import is_r_spread
+
+GATES = ("gate-r-vs-log", "gate-r-vs-2q", "gate-r0-vs-r")
+
+
+def verdicts(records, name, **params) -> list[str]:
+    return [r.verdict for r in select(records, name, **params)]
+
+
+def gate_verdicts(records) -> list[str]:
+    return [v for g in GATES for v in verdicts(records, "approx-gate", gate=g)]
 
 
 def test_peeling_star_trace():
@@ -65,13 +76,17 @@ def test_peeling_conservation_random():
 def test_verify_approx_conclusions():
     f = family_of(4, {0, 1}, {0, 2}, {0, 3})
     res = spread_approximate(f, 2, 2)
-    v = verify_approx(res, f, f, 2, 4, 2, 1)
-    assert v.coverage_ok
-    assert all(v.core_spread_ok)
-    assert v.remainder_ok  # empty remainder passes trivially
-    assert v.conservation_ok
-    assert v.pairwise_t_ok  # cores pairwise share element 0
-    assert not v.gates_hold  # r = 2 is far below the spreadness gate
+    recs = verify_approx(res, f, f, 2, 4, 2, 1)
+    assert verdicts(recs, "approx-coverage") == ["pass"]
+    assert verdicts(recs, "approx-core-spread") == ["pass"] * 3
+    assert verdicts(recs, "approx-remainder") == ["pass"]  # empty remainder passes trivially
+    assert verdicts(recs, "approx-conservation") == ["pass"]
+    assert verdicts(recs, "approx-cores-t-intersect") == ["pass"]  # cores share element 0
+    # r = 2 is far below the spreadness gate and below 2q = 4
+    assert gate_verdicts(recs) == ["gated", "gated", "pass"]
+    # an ambient family that misses peeled members does not cover them
+    recs = verify_approx(res, f, family_of(4, {0, 1}), 2, 4, 2, 1)
+    assert verdicts(recs, "approx-coverage") == ["fail"]
 
 
 def test_verify_approx_gates_hold_case():
@@ -79,9 +94,16 @@ def test_verify_approx_gates_hold_case():
     f = family_of(3, {1})
     r = 2**13
     res = spread_approximate(f, r, 1)
-    v = verify_approx(res, f, f, r, 2**14, 1, 1)
-    assert v.gates_hold
-    assert v.pairwise_t_ok and v.conclusions_ok and v.conservation_ok
+    recs = verify_approx(res, f, f, r, 2**14, 1, 1)
+    assert gate_verdicts(recs) == ["pass"] * 3
+    for name in (
+        "approx-cores-t-intersect",
+        "approx-coverage",
+        "approx-core-spread",
+        "approx-remainder",
+        "approx-conservation",
+    ):
+        assert verdicts(recs, name) == ["pass"]
 
 
 def test_verify_approx_integrity():
@@ -107,9 +129,12 @@ def test_peeling_canonical_partial_family_inside_ambient():
     assert res.remainder.size == 0
     for core in res.cores:
         assert t_edge in core
-    v = verify_approx(res, f, ambient, 2, 4, 4, 1)
-    assert v.coverage_ok and all(v.core_spread_ok) and v.conservation_ok
-    assert v.pairwise_t_ok  # every core contains the anchor edge
+    recs = verify_approx(res, f, ambient, 2, 4, 4, 1)
+    assert verdicts(recs, "approx-coverage") == ["pass"]
+    assert set(verdicts(recs, "approx-core-spread")) == {"pass"}
+    assert verdicts(recs, "approx-conservation") == ["pass"]
+    # every core contains the anchor edge
+    assert verdicts(recs, "approx-cores-t-intersect") == ["pass"]
 
 
 def test_minimize_examples():
@@ -164,24 +189,24 @@ def test_reduction_sequence_trivial():
     u = PlainUniverse(3)
     s = family_of(3, {0})
     a = ksubsets_family(3, 2)
-    levels, rep = reduction_sequence(a, s, 1, 1)
+    levels, recs = reduction_sequence(a, s, 1, 1)
     (t0, w0) = levels[0]
     assert t0.masks == (0b001,)
     assert w0.masks == (0b001,)
-    assert rep.ok
+    assert all(r.verdict != "fail" for r in recs)
 
 
 def test_reduction_sequence_triangle():
     tri = family_of(4, {0, 1}, {1, 2}, {0, 2})
     a = ksubsets_family(4, 2)
-    levels, rep = reduction_sequence(a, tri, 2, 1)
+    levels, recs = reduction_sequence(a, tri, 2, 1)
     (t0, w0), (t1, w1) = levels
     assert set(t0.masks) == set(tri.masks)
     assert set(w0.masks) == set(tri.masks)
     assert t1.size == 0
-    assert rep.ok
-    w_rec = [r for r in rep.records() if r.name == "reduction-w-size" and r.params == "i=0"]
-    assert w_rec[0].lhs == "3" and w_rec[0].rhs == "12"
+    assert all(r.verdict != "fail" for r in recs)
+    (w_rec,) = select(recs, "reduction-w-size", i=0)
+    assert w_rec.lhs == "3" and w_rec.rhs == "12"
 
 
 def test_reduction_sequence_after_minimize():
@@ -191,8 +216,8 @@ def test_reduction_sequence_after_minimize():
     out = minimize_t_intersecting(fam, 1, 2)
     assert list(out.masks) == [0b0001]
     a = ksubsets_family(4, 2)
-    levels, rep = reduction_sequence(a, out, 2, 1)
-    assert rep.ok
+    levels, recs = reduction_sequence(a, out, 2, 1)
+    assert all(r.verdict != "fail" for r in recs)
 
 
 def test_reduction_sequence_multilevel():
@@ -202,8 +227,8 @@ def test_reduction_sequence_multilevel():
     full = (1 << 5) - 1
     s = SetFamily(u, [full & ~(1 << i) for i in range(5)])
     a = ksubsets_family(5, 4)
-    levels, rep = reduction_sequence(a, s, 4, 2)
-    assert rep.ok
+    levels, recs = reduction_sequence(a, s, 4, 2)
+    assert all(r.verdict != "fail" for r in recs)
     assert len(levels) == 3  # i = 0, 1, 2
     for i, (t_i, w_i) in enumerate(levels):
         assert all(m.bit_count() <= 4 - i for m in t_i.masks)
@@ -236,10 +261,8 @@ def test_candidate_guard_skips_scans():
         # the ambient r0-spreadness gate is skipped; the small core checks still run
         f = family_of(5, {0, 1}, {0, 2})
         res = spread_approximate(f, 2, 2)
-        verdict = verify_approx(res, f, ksubsets_family(5, 2), 2, 4, 2, 1)
-        assert verdict.gate_ambient_spread is None
-        gate = [r for r in verdict.records() if "gate=gate-ambient-r0-spread" in r.params]
-        assert [r.verdict for r in gate] == ["skipped"]
+        recs = verify_approx(res, f, ksubsets_family(5, 2), 2, 4, 2, 1)
+        assert verdicts(recs, "approx-gate", gate="gate-ambient-r0-spread") == ["skipped"]
         with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
             check_dominance(ksubsets_family(5, 2), family_of(5, {0, 1}), 1, 1)
 
@@ -254,15 +277,69 @@ def test_reduction_sequence_preconditions():
         reduction_sequence(SetFamily(PlainUniverse(4), []), family_of(4, {0}), 1, 1)
 
 
+EMPTY_S_RECORDS = {
+    (2, 1): """\
+reduction-size-cap	i=0	0	2	2	pass
+reduction-no-spread-subfamily	i=0,bound=2,scanned=0	-	-	-	pass
+reduction-w-size	i=0	0	12	12	pass
+reduction-star-coverage	i=1	0	0	-	pass
+reduction-size-cap	i=1	0	1	1	pass
+reduction-no-spread-subfamily	i=1,bound=1,scanned=0	-	-	-	pass
+reduction-w-size	i=1	0	1	1	pass
+reduction-star-coverage	i=2	0	0	-	pass
+""",
+    (3, 1): """\
+reduction-size-cap	i=0	0	3	3	pass
+reduction-no-spread-subfamily	i=0,bound=3,scanned=0	-	-	-	pass
+reduction-w-size	i=0	0	324	324	pass
+reduction-star-coverage	i=1	0	0	-	pass
+reduction-size-cap	i=1	0	2	2	pass
+reduction-no-spread-subfamily	i=1,bound=2,scanned=0	-	-	-	pass
+reduction-w-size	i=1	0	12	12	pass
+reduction-star-coverage	i=2	0	0	-	pass
+reduction-size-cap	i=2	0	1	1	pass
+reduction-no-spread-subfamily	i=2,bound=1,scanned=0	-	-	-	pass
+reduction-w-size	i=2	0	1	1	pass
+reduction-star-coverage	i=3	0	0	-	pass
+""",
+    (3, 2): """\
+reduction-size-cap	i=0	0	3	3	pass
+reduction-no-spread-subfamily	i=0,bound=2,scanned=0	-	-	-	pass
+reduction-w-size	i=0	0	18	18	pass
+reduction-star-coverage	i=1	0	0	-	pass
+reduction-size-cap	i=1	0	2	2	pass
+reduction-no-spread-subfamily	i=1,bound=1,scanned=0	-	-	-	pass
+reduction-w-size	i=1	0	1	1	pass
+reduction-star-coverage	i=2	0	0	-	pass
+""",
+}
+
+
+@pytest.mark.parametrize("q,t", sorted(EMPTY_S_RECORDS))
+def test_reduction_sequence_empty_family(q, t):
+    a = ksubsets_family(5, 3)
+    levels, recs = reduction_sequence(a, SetFamily(a.universe, []), q, t)
+    assert [(t_i.size, w_i.size) for t_i, w_i in levels] == [(0, 0)] * (q - t + 1)
+    assert records_to_text(recs) == EMPTY_S_RECORDS[q, t]
+
+
+def test_reduction_sequence_empty_family_needs_t():
+    a = ksubsets_family(5, 3)
+    with pytest.raises(DomainError, match="needs t >= 1"):
+        reduction_sequence(a, SetFamily(a.universe, []), 2, 0)
+
+
 def test_dominance_example():
     a = ksubsets_family(5, 2)
     tri = family_of(5, {0, 1}, {1, 2}, {0, 2})
-    rep = check_dominance(a, tri, 1, Fraction(1, 2))
-    assert not rep.trivial
-    assert rep.lhs == 3
-    assert rep.rhs == 2
-    assert rep.conclusion_ok is False
-    assert rep.gate_ok is False  # eps*r = 2 < 24q = 48
+    recs = check_dominance(a, tri, 1, Fraction(1, 2))
+    (dom,) = select(recs, "dominance")
+    assert "trivial=true" not in dom.params.split(",")
+    assert dom.lhs == "3"
+    assert dom.rhs == "2"
+    # the conclusion fails, and is reported as info because the gate fails
+    assert dom.margin == "-1" and dom.verdict == "info"
+    assert verdicts(recs, "dominance-gate") == ["gated"]  # eps*r = 2 < 24q = 48
 
 
 def test_dominance_scans_once():
@@ -274,9 +351,10 @@ def test_dominance_scans_once():
         mock.patch.object(spread, "candidate_counts", scan),
         mock.patch.object(approx, "candidate_counts", scan),
     ):
-        rep = check_dominance(a, tri, 1, Fraction(1, 2))
+        recs = check_dominance(a, tri, 1, Fraction(1, 2))
     assert scan.call_count == 1
-    assert rep.best_t_set.mask == 1 and rep.rhs == Fraction(4, 2)
+    (dom,) = select(recs, "dominance")
+    assert "T={0}" in dom.params.split(",") and dom.rhs == "2"
     with pytest.raises(DomainError, match=r"^check_dominance needs t >= 1$"):
         check_dominance(a, tri, 0, Fraction(1, 2))
     with pytest.raises(DomainError, match="no member of the ambient family has size >= 3"):
@@ -290,8 +368,10 @@ def test_dominance_trivial_family():
         # {0,1,2} and {0,1} 2-intersect but {0,1} with itself needs size >= 2: fine;
         # this family is 2-intersecting, so use t=2 to hit the trivial branch
         check_dominance(a, family_of(5, {0}, {1}), 1, Fraction(1, 2))
-    rep = check_dominance(a, s, 2, Fraction(1, 2))
-    assert rep.trivial and rep.conclusion_ok is None
+    recs = check_dominance(a, s, 2, Fraction(1, 2))
+    # trivial: no comparison is claimed and no gate is evaluated
+    assert [(r.name, r.verdict) for r in recs] == [("dominance", "skipped")]
+    assert "trivial=true" in recs[0].params.split(",")
 
 
 def test_dominance_edge_encoded_star():
@@ -302,12 +382,11 @@ def test_dominance_edge_encoded_star():
     u, ambient = encode_family_edges(universe)
     t_edge = u.index_of((1, 2))
     s = SetFamily(u, [1 << t_edge])
-    rep = check_dominance(ambient, s, 1, 1)
-    assert rep.trivial
+    (dom,) = select(check_dominance(ambient, s, 1, 1), "dominance", trivial="true")
     from partspread.setfam import star_count
 
     best = max(star_count(ambient, ElementSet(u, 1 << i)) for i in range(u.size))
-    assert rep.lhs == best
+    assert dom.lhs == str(best)
     # non-trivial variant: two disjoint anchor edges both below a best star
     s2 = SetFamily(u, [1 << t_edge, 1 << u.index_of((3, 4))])
     with pytest.raises(PreconditionError):

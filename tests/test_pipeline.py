@@ -8,6 +8,7 @@ sequence the way the pieces are meant to compose.
 
 from fractions import Fraction
 
+from conftest import select
 from partspread.approx import (
     check_dominance,
     minimize_t_intersecting,
@@ -31,27 +32,28 @@ def test_star_family_pipeline():
     r = 3
     res = spread_approximate(fam, r, 6)
     assert res.remainder.size == 0  # member sizes <= 6 = q, so no oversized stop
-    verdict = verify_approx(res, fam, ambient, r, 4, 6, 1)
-    assert verdict.coverage_ok
-    assert all(verdict.core_spread_ok)
-    assert verdict.conservation_ok
+    recs = verify_approx(res, fam, ambient, r, 4, 6, 1)
+    assert [rec.verdict for rec in select(recs, "approx-coverage")] == ["pass"]
+    assert all(rec.verdict == "pass" for rec in select(recs, "approx-core-spread"))
+    assert [rec.verdict for rec in select(recs, "approx-conservation")] == ["pass"]
     # every member contains the anchor part, so the greedy violator starts
     # there and every core carries it; the cores pairwise 1-intersect even
     # though the spreadness gates fail at this scale
     for core in res.cores:
         assert anchor in core
-    assert verdict.pairwise_t_ok
+    assert [rec.verdict for rec in select(recs, "approx-cores-t-intersect")] == ["pass"]
 
     cores = SetFamily(u, [c.mask for c in res.cores])
     minimized = minimize_t_intersecting(cores, 1, 6)
     assert list(minimized.masks) == [1 << anchor]
 
     # the anchor star is the largest single-part star in the ambient family
-    dom = check_dominance(ambient, minimized, 1, Fraction(1, 2))
-    assert dom.trivial  # one t-set: nothing is claimed, counts reported
-    assert dom.lhs == star_count(ambient, minimized.element_set([anchor])) == 52
+    # one t-set: nothing is claimed, counts reported
+    dom_recs = check_dominance(ambient, minimized, 1, Fraction(1, 2))
+    (dom,) = select(dom_recs, "dominance", trivial="true")
+    assert int(dom.lhs) == star_count(ambient, minimized.element_set([anchor])) == 52
 
-    levels, report = reduction_sequence(ambient, minimized, 1, 1)
-    assert report.ok
+    levels, recs = reduction_sequence(ambient, minimized, 1, 1)
+    assert all(rec.verdict != "fail" for rec in recs)
     t0, w0 = levels[0]
     assert list(t0.masks) == [1 << anchor]
