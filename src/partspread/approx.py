@@ -130,6 +130,8 @@ def verify_approx(
     r0 = as_fraction(r0)
     if r0 <= 0:
         raise DomainError("verify_approx needs r0 > 0")
+    if t < 1:
+        raise DomainError("verify_approx needs t >= 1")
     # integrity: cores + remainder partition the input family
     peeled_masks: list[int] = []
     for fam in res.core_families:

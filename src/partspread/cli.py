@@ -357,9 +357,9 @@ def _run_extremal(args) -> list[Record]:
     if args.what == "canonical":
         spec = CanonicalSpec(
             setting=args.setting,
-            n=args.n or 0,
-            l=args.l or 0,
-            t=args.t or 0,
+            n=_required(args, "n") if args.setting in ("bell", "blocks") else 0,
+            l=_required(args, "l") if args.setting == "blocks" else 0,
+            t=(args.t or 0) if args.t_set else _required(args, "t"),
             profile=_parse_profile(args.profile) if args.profile else None,
             t_set=_parse_int_list(args.t_set) if args.t_set else None,
         )

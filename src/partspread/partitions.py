@@ -138,16 +138,18 @@ def bell(n: int) -> int:
     return _BELLS[n]
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, l: int) -> int:
-    """Stirling number of the second kind: partitions of [n] into l blocks."""
+    """Stirling number of the second kind: partitions of [n] into l blocks.
+
+    Inclusion-exclusion over the blocks left empty, with 0^0 = 1:
+    S(n, l) = sum_(i=0..l) (-1)^i C(l, i) (l - i)^n / l!.
+    """
     if n < 0 or l < 0:
         raise DomainError("stirling2 needs n >= 0 and l >= 0")
-    if l == 0:
-        return 1 if n == 0 else 0
     if l > n:
         return 0
-    return stirling2(n - 1, l - 1) + l * stirling2(n - 1, l)
+    total = sum((-1) ** i * math.comb(l, i) * (l - i) ** n for i in range(l + 1))
+    return total // math.factorial(l)
 
 
 @lru_cache(maxsize=None)

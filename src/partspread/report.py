@@ -77,26 +77,26 @@ class CheckReport:
         self.points.append(rec)
         return rec
 
-    def finalize(self, fail_as_finding: bool = False) -> "CheckReport":
-        """Overall verdict: fail (or finding) if any point fails, else pass."""
-        bad = [r for r in self.points if r.verdict == FAIL]
-        if bad:
-            if fail_as_finding:
-                self.verdict = FINDING
-                for r in bad:
-                    r.verdict = FINDING
-                    self.findings.append(r.line())
-            else:
-                self.verdict = FAIL
-        elif any(r.verdict == FINDING for r in self.points) or self.findings:
+    def compare(self, params: dict, lhs, rhs, asserted: bool = True, miss: str = FAIL) -> bool:
+        """Record lhs >= rhs with margin lhs/rhs - 1: pass or `miss`, info where not asserted."""
+        holds = lhs >= rhs
+        verdict = (PASS if holds else miss) if asserted else INFO
+        self.add(params, lhs, rhs, Fraction(lhs) / rhs - 1, verdict)
+        return holds
+
+    def finalize(self) -> "CheckReport":
+        """Overall verdict: fail if a point fails, else finding if a point or `findings`
+        reports one, else vacuous if a point is vacuous, else pass."""
+        verdicts = {r.verdict for r in self.points}
+        if FAIL in verdicts:
+            self.verdict = FAIL
+        elif FINDING in verdicts or self.findings:
             self.verdict = FINDING
+        elif VACUOUS in verdicts:
+            self.verdict = VACUOUS
         else:
             self.verdict = PASS
         return self
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict != FAIL
 
     def records(self) -> list[Record]:
         """The head record with the overall verdict, then the points, then the notes."""

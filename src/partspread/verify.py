@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
-from numpy.random import Generator, Philox
+from typing import Sequence
 
 from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure
 from .encoding import (
@@ -61,10 +58,7 @@ def check_bell_ratio(n_max: int) -> CheckReport:
     rep = CheckReport("bell-ratio", {"n_max": n_max})
     for n in range(2, n_max + 1):
         ln_lo = ln_enclosure(Fraction(n))[0]
-        lhs = 2 * bell(n + 1) * ln_lo
-        rhs = n * bell(n)
-        margin = lhs / rhs - 1
-        rep.add({"n": n}, lhs, Fraction(rhs), margin, PASS if lhs >= rhs else FAIL)
+        rep.compare({"n": n}, 2 * bell(n + 1) * ln_lo, n * bell(n))
     return rep.finalize()
 
 
@@ -79,19 +73,12 @@ def check_dobinski(n: int, s_max: int) -> CheckReport:
     rep = CheckReport("dobinski", {"n": n, "s_max": s_max})
     total = Fraction(0)
     for s in range(0, s_max + 1):
-        total += Fraction(s**n if s else (1 if n == 0 else 0), math.factorial(s))
+        total += Fraction(s**n, math.factorial(s))
     e_lo, e_hi = e_enclosure()
     b = bell(n)
     lo, hi = total / e_hi, total / e_lo
-    rel = max(abs(lo - b), abs(hi - b)) / b if b else abs(hi)
-    tol = Fraction(1, 10**9)
-    rep.add(
-        {"n": n, "s_max": s_max},
-        lo,
-        Fraction(b),
-        rel,
-        PASS if rel <= tol else FAIL,
-    )
+    rel = max(abs(lo - b), abs(hi - b)) / b
+    rep.add({"n": n, "s_max": s_max}, lo, b, rel, PASS if rel <= Fraction(1, 10**9) else FAIL)
     return rep.finalize()
 
 
@@ -108,17 +95,11 @@ def check_no_singleton_bound(s_max: int) -> CheckReport:
     rep = CheckReport("no-singleton-bound", {"s_max": s_max})
     product = Fraction(1)
     for s in range(2, s_max + 1):
-        lhs = Fraction(tilde_bell(s))
-        rhs = Fraction(1, 2) * product * bell(s)
-        margin = lhs / rhs - 1 if rhs else Fraction(0)
-        rep.add({"s": s}, lhs, rhs, margin, PASS if lhs >= rhs else FAIL)
+        rep.compare({"s": s}, tilde_bell(s), Fraction(1, 2) * product * bell(s), miss=FINDING)
         # extend the product with the i = s factor for the next step
         ln_lo = ln_enclosure(Fraction(s + 1))[0]
-        factor = (1 - Fraction(2) * ln_lo / (s + 1)) * (
-            1 - Fraction(2 * s + 2, 3**s)
-        )
-        product *= factor
-    return rep.finalize(fail_as_finding=True)
+        product *= (1 - 2 * ln_lo / (s + 1)) * (1 - Fraction(2 * s + 2, 3**s))
+    return rep.finalize()
 
 
 def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
@@ -132,20 +113,10 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
     rep = CheckReport("stirling-growth", {"l_max": l_max, "n_cap": n_cap})
     for l in range(2, l_max + 1):
         for n in range(l, n_cap + 1):
-            gated = at_least_log2(Fraction(n - 1, 2 * l), n)
-            if not gated:
+            if at_least_log2(Fraction(n - 1, 2 * l), n):
+                rep.compare({"l": l, "n": n}, stirling2(n, l), n * n * stirling2(n - 1, l - 1))
+            else:
                 rep.add({"l": l, "n": n}, "-", "-", "-", "gated")
-                continue
-            lhs = stirling2(n, l)
-            rhs = n * n * stirling2(n - 1, l - 1)
-            margin = Fraction(lhs, rhs) - 1 if rhs else Fraction(0)
-            rep.add(
-                {"l": l, "n": n},
-                Fraction(lhs),
-                Fraction(rhs),
-                margin,
-                PASS if lhs >= rhs else FAIL,
-            )
     return rep.finalize()
 
 
@@ -224,17 +195,27 @@ def check_encoded_spreadness(
     raise DomainError(f"unknown spreadness setting {kind!r}")
 
 
+def _weak_spread_point(
+    rep: CheckReport, params: dict, fam: SetFamily, t: int, threshold, asserted: bool
+) -> None:
+    """Direct weak spreadness of fam at t against threshold (None: no threshold)."""
+    _, rweak, _ = weak_spread(fam, t)
+    ok = threshold is not None and rweak >= ExactPow(threshold)
+    verdict = (PASS if ok else FAIL) if asserted else INFO
+    rep.add(params, f"{float(rweak):.6g}", threshold, "-", verdict)
+
+
 def _spreadness_bell(n, t, mode) -> CheckReport:
     if n is None or n < 1:
         raise DomainError("bell setting needs n >= 1")
     rep = CheckReport("encoded-spreadness-bell", {"n": n, "t": t, "mode": mode})
     ln_lo = ln_enclosure(Fraction(n))[0] if n >= 2 else None
+    threshold = Fraction(n) / (6 * ln_lo) if ln_lo else None  # upper bound of n / (6 ln n)
     gate = n >= 50
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_partitions(n))
         rstar = spread_factor(fam).r_star
-        if ln_lo:
-            threshold = Fraction(n) / (6 * ln_lo)  # upper bound of n / (6 ln n)
+        if threshold:
             ok = rstar >= ExactPow(threshold)
             rep.add(
                 {"n": n, "claim": "r0-spread", "gate_n_ge_50": gate},
@@ -250,27 +231,16 @@ def _spreadness_bell(n, t, mode) -> CheckReport:
                     f"({'holds' if ok else 'does not hold'})"
                 )
         if t is not None and t >= 1:
-            _, rweak, _ = weak_spread(fam, t)
-            wthr = Fraction(n) / (12 * ln_lo) if ln_lo else None
-            ok = wthr is not None and rweak >= ExactPow(wthr)
-            rep.add(
-                {"n": n, "t": t, "claim": "weak-spread"},
-                f"{float(rweak):.6g}",
-                wthr,
-                "-",
-                (PASS if ok else FAIL) if gate and t <= n // 2 else INFO,
+            # the weak-spread threshold is n / (12 ln n)
+            _weak_spread_point(
+                rep, {"n": n, "t": t, "claim": "weak-spread"}, fam, t,
+                threshold / 2 if threshold else None, gate and t <= n // 2,
             )
-    if mode in ("formula", "both") and ln_lo:
-        threshold = Fraction(n) / (6 * ln_lo)
+    if mode in ("formula", "both") and threshold:
         for s in range(1, n + 1):
-            lhs = Fraction(bell(n), bell(n - s))
-            rhs = threshold**s
-            rep.add(
+            rep.compare(
                 {"n": n, "s": s, "claim": "ratio-chain"},
-                lhs,
-                rhs,
-                lhs / rhs - 1,
-                (PASS if lhs >= rhs else FAIL) if gate else INFO,
+                Fraction(bell(n), bell(n - s)), threshold**s, asserted=gate,
             )
     return rep.finalize()
 
@@ -282,46 +252,22 @@ def _spreadness_blocks(n, l, t, mode) -> CheckReport:
         raise DomainError("blocks setting needs 1 <= t < l <= n")
     rep = CheckReport("encoded-spreadness-blocks", {"n": n, "l": l, "t": t, "mode": mode})
     gate = t <= l - 2 and at_least_log2(Fraction(n, 2 * l), n) and n >= 48
-    rep.add(
-        {"gate": "t<=l-2,n>=2l*log2(n),n>=48"},
-        "-",
-        "-",
-        "-",
-        PASS if gate else "gated",
-    )
+    rep.add({"gate": "t<=l-2,n>=2l*log2(n),n>=48"}, "-", "-", "-", PASS if gate else "gated")
     threshold = Fraction(n * n, 2)
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_into_blocks(n, l))
-        _, rweak, _ = weak_spread(fam, t)
-        ok = rweak >= ExactPow(threshold)
-        rep.add(
-            {"claim": "weak-spread"},
-            f"{float(rweak):.6g}",
-            threshold,
-            "-",
-            (PASS if ok else FAIL) if gate else INFO,
-        )
+        _weak_spread_point(rep, {"claim": "weak-spread"}, fam, t, threshold, gate)
     if mode in ("formula", "both"):
+        top = stirling2(n - t, l - t)
         for s in range(1, l - t):
-            lhs = Fraction(stirling2(n - t, l - t), stirling2(n - t - s, l - t - s))
-            rhs = threshold**s
-            rep.add(
+            rep.compare(
                 {"s": s, "claim": "stirling-chain"},
-                lhs,
-                rhs,
-                lhs / rhs - 1 if rhs else "-",
-                (PASS if lhs >= rhs else FAIL) if gate else INFO,
+                Fraction(top, stirling2(n - t - s, l - t - s)),
+                threshold**s,
+                asserted=gate,
             )
         # endpoint s = l - t: 2^(n-l+1) >= n^4
-        lhs_end = 2 ** (n - l + 1)
-        rhs_end = n**4
-        rep.add(
-            {"s": l - t, "claim": "endpoint"},
-            Fraction(lhs_end),
-            Fraction(rhs_end),
-            Fraction(lhs_end, rhs_end) - 1,
-            (PASS if lhs_end >= rhs_end else FAIL) if gate else INFO,
-        )
+        rep.compare({"s": l - t, "claim": "endpoint"}, 2 ** (n - l + 1), n**4, asserted=gate)
     return rep.finalize()
 
 
@@ -338,45 +284,29 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
     )
     gate = t <= l // 2 and sizes[t] >= 2
     rep.add({"gate": "t<=l/2,k_(t+1)>=2"}, "-", "-", "-", PASS if gate else "gated")
-    threshold = Fraction(l * l, 12)
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_profiled(profile))
-        _, rweak, _ = weak_spread(fam, t)
-        ok = rweak >= ExactPow(threshold)
-        rep.add(
-            {"claim": "weak-spread"},
-            f"{float(rweak):.6g}",
-            threshold,
-            "-",
-            (PASS if ok else FAIL) if gate else INFO,
-        )
+        _weak_spread_point(rep, {"claim": "weak-spread"}, fam, t, Fraction(l * l, 12), gate)
     if mode in ("formula", "both"):
-        cap = s_max if s_max is not None else l - t
-        cap = min(cap, l - t)
+        cap = l - t if s_max is None else min(s_max, l - t)
         a_t = {c: _profiled_star_count(sizes, t, c) for c in (False, True)}
         mismatches = []
         for s in range(1, cap + 1):
             rhs = Fraction(l, 12) ** (2 * s)
-            verdicts = {}
-            for corrected in (False, True):
-                lhs = Fraction(a_t[corrected], _profiled_star_count(sizes, t + s, corrected))
-                ok = lhs >= rhs
-                verdicts[corrected] = ok
-                # the printed formula is the one the chain asserts; the
-                # multiplicity-corrected variant is reported alongside and a
-                # disagreement is surfaced as a finding, not a failure
-                if corrected:
-                    verdict = (PASS if ok else FINDING) if gate else INFO
-                else:
-                    verdict = (PASS if ok else FAIL) if gate else INFO
-                rep.add(
-                    {"s": s, "variant": "corrected" if corrected else "printed"},
-                    lhs,
+            # the printed formula is the one the chain asserts; the
+            # multiplicity-corrected variant is reported alongside and a
+            # disagreement is surfaced as a finding, not a failure
+            printed, corrected = (
+                rep.compare(
+                    {"s": s, "variant": variant},
+                    Fraction(a_t[c], _profiled_star_count(sizes, t + s, c)),
                     rhs,
-                    lhs / rhs - 1,
-                    verdict,
+                    asserted=gate,
+                    miss=miss,
                 )
-            if verdicts[False] != verdicts[True]:
+                for variant, c, miss in (("printed", False, FAIL), ("corrected", True, FINDING))
+            )
+            if printed != corrected:
                 mismatches.append(s)
         if mismatches:
             rep.findings.append(
@@ -395,6 +325,8 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
     vacuous = l <= 9
     if vacuous:
         rep.notes.append(f"l = {l} <= 9 makes (9/l)^m >= 1: the bound is vacuous")
+    # each bound has a linear variant, claimed for m <= kl/3, and a cube-root
+    # variant, claimed for every m; power is the exponent of the count ratio
     if mode in ("direct", "both"):
         universe = enumerate_profiled(Profile.uniform(k, l))
         u, fam = encode_family_edges(universe)
@@ -409,56 +341,51 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
             "-",
             PASS if ok else FAIL,
         )
-        # per-candidate scan: |F(E)| * l^m <= 9^m |F| for m <= kl/3,
-        # and the cube-root variant for every candidate
-        worst = None
-        worst3 = None
-        for mask, cnt in counts.items():
-            m_x = edges_to_subpartition(ElementSet(u, mask)).weight
-            if 3 * m_x <= k * l:
-                slack = Fraction(fam.size * 9**m_x, cnt * l**m_x)
-                worst = slack if worst is None or slack < worst else worst
-            slack3 = Fraction(fam.size**3 * 9**m_x, cnt**3 * l**m_x)
-            worst3 = slack3 if worst3 is None or slack3 < worst3 else worst3
-        rep.add(
-            {"claim": "extension-bound", "candidates": len(counts)},
-            "min |F|9^m / (|F(E)| l^m)",
-            1,
-            worst - 1 if worst is not None else "-",
-            (PASS if worst is None or worst >= 1 else FAIL) if not vacuous else INFO,
-        )
-        rep.add(
-            {"claim": "extension-bound-cube", "candidates": len(counts)},
-            "min (|F|/|F(E)|)^3 9^m / l^m",
-            1,
-            worst3 - 1 if worst3 is not None else "-",
-            (PASS if worst3 is None or worst3 >= 1 else FAIL) if not vacuous else INFO,
-        )
+        # per-candidate scan: |F(E)| * l^m <= 9^m |F|
+        scan = [
+            (cnt, edges_to_subpartition(ElementSet(u, mask)).weight) for mask, cnt in counts.items()
+        ]
+        for claim, power, lhs_text in (
+            ("extension-bound", 1, "min |F|9^m / (|F(E)| l^m)"),
+            ("extension-bound-cube", 3, "min (|F|/|F(E)|)^3 9^m / l^m"),
+        ):
+            worst = min(
+                (
+                    Fraction(fam.size**power * 9**m, cnt**power * l**m)
+                    for cnt, m in scan
+                    if power == 3 or 3 * m <= k * l
+                ),
+                default=None,
+            )
+            rep.add(
+                {"claim": claim, "candidates": len(counts)},
+                lhs_text,
+                1,
+                worst - 1 if worst is not None else "-",
+                (PASS if worst is None or worst >= 1 else FAIL) if not vacuous else INFO,
+            )
     if mode in ("formula", "both"):
         u_full = u_count(k, l)
         for shape in _subpartition_shapes(k, l):
             x = _shape_to_subpartition(shape)
             m_x = x.weight
             ext = count_extensions(k, l, x)
-            if 3 * m_x <= k * l:
-                lhs = Fraction(ext * l**m_x)
-                rhs = Fraction(u_full * 9**m_x)
+            for claim, power, rhs in (
+                ("ratio", 1, Fraction(9, l) ** m_x),
+                ("ratio-cube", 3, f"(9/l)^({m_x}/3)"),
+            ):
+                if power == 1 and 3 * m_x > k * l:
+                    continue
+                # |F(X)|^power l^m <= |F|^power 9^m
+                lhs_x = ext**power * l**m_x
+                rhs_x = u_full**power * 9**m_x
                 rep.add(
-                    {"shape": "+".join(map(str, shape)), "m": m_x, "claim": "ratio"},
+                    {"shape": "+".join(map(str, shape)), "m": m_x, "claim": claim},
                     Fraction(ext, u_full),
-                    Fraction(9, l) ** m_x,
-                    rhs / lhs - 1 if lhs else "-",
-                    (PASS if lhs <= rhs else FAIL) if not vacuous else INFO,
+                    rhs,
+                    Fraction(rhs_x, lhs_x) - 1 if lhs_x else "-",
+                    (PASS if lhs_x <= rhs_x else FAIL) if not vacuous else INFO,
                 )
-            lhs3 = Fraction(ext**3 * l**m_x)
-            rhs3 = Fraction(u_full**3 * 9**m_x)
-            rep.add(
-                {"shape": "+".join(map(str, shape)), "m": m_x, "claim": "ratio-cube"},
-                Fraction(ext, u_full),
-                f"(9/l)^({m_x}/3)",
-                rhs3 / lhs3 - 1 if lhs3 else "-",
-                (PASS if lhs3 <= rhs3 else FAIL) if not vacuous else INFO,
-            )
     return rep.finalize()
 
 
@@ -479,6 +406,11 @@ def check_random_containment(
     estimate minus three binomial standard errors against the bound, all in
     exact rationals; a nonpositive bound is reported as vacuous.
     """
+    # numpy is imported here alone: no other code path needs it, and it
+    # would dominate the import time of every other command
+    import numpy as np
+    from numpy.random import Generator, Philox
+
     r = as_fraction(r)
     delta = as_fraction(delta)
     p = m * delta
@@ -495,7 +427,7 @@ def check_random_containment(
     )
 
     rd = r * delta
-    bound: Optional[Fraction] = None
+    bound = None
     if rd > 1:
         log_hi = log2_enclosure(rd)[1]
         bound = 1 - (5 / log_hi) ** m * f.average_size()
@@ -517,26 +449,16 @@ def check_random_containment(
             hits += 1
     estimate = Fraction(hits, trials)
 
-    closed: Optional[Fraction] = None
     if all(mk.bit_count() == 1 for mk in masks):
-        closed = 1 - (1 - p) ** len(masks)
-        rep.add(
-            {"claim": "closed-form"},
-            estimate,
-            closed,
-            estimate - closed,
-            INFO,
-        )
+        closed = containment_closed_form(f, m, delta)
+        rep.add({"claim": "closed-form"}, estimate, closed, estimate - closed, INFO)
 
     stderr_sq = estimate * (1 - estimate) / trials
     if bound is None or bound <= 0:
-        verdict = VACUOUS
-        margin = "-"
+        verdict, margin = VACUOUS, "-"
     else:
-        diff = estimate - bound
-        passed = diff >= 0 and diff * diff >= 9 * stderr_sq
-        verdict = PASS if passed else FAIL
-        margin = diff
+        margin = estimate - bound
+        verdict = PASS if margin >= 0 and margin * margin >= 9 * stderr_sq else FAIL
     rep.add(
         {"claim": "containment", "estimate": float(estimate), "stderr": float(stderr_sq) ** 0.5},
         estimate,
@@ -544,10 +466,7 @@ def check_random_containment(
         margin,
         verdict,
     )
-    rep.finalize()
-    if any(pt.verdict == VACUOUS for pt in rep.points):
-        rep.verdict = VACUOUS if rep.verdict == PASS else rep.verdict
-    return rep
+    return rep.finalize()
 
 
 def containment_closed_form(f: SetFamily, m: int, delta) -> Fraction:

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,12 @@ def test_sunflower_and_covering_cli(capsys):
         ("verify nonintersect --k 2 --t 2 --t-set 1,2 --y 1,3|2,4|5,6", "--l"),
         ("verify nonintersect --k 2 --l 3 --t-set 1,2 --y 1,3|2,4|5,6", "--t"),
         ("verify spreadness --k 2 --l 3", "--setting"),
+        ("extremal canonical --setting bell", "--n"),
+        ("extremal canonical --setting bell --n 5", "--t"),
+        ("extremal canonical --setting blocks --l 3 --t 1", "--n"),
+        ("extremal canonical --setting blocks --n 5 --t 1", "--l"),
+        ("extremal canonical --setting profiled --profile 1,2,2", "--t"),
+        ("extremal canonical --setting partial --profile 2,2,2", "--t"),
     ],
 )
 def test_missing_flag_is_usage_error(capsys, argv, flag):
@@ -335,6 +345,8 @@ def test_enumerate_list_output_pinned(capsys, argv, digest):
         "export --family kl:2,2 --path {dir}",
         "spread factor --family file:{dir}",
         "count bell --n 5 --out {dir}",
+        "approximate --family bell:3 --r 2 --q 2 --r0 3 --t 0",
+        "approximate --family bell:3 --r 2 --q 2 --r0 3 --t -3",
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
@@ -343,6 +355,124 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        ("extremal canonical --setting bell --n 5 --t 0", "52"),
+        ("extremal canonical --setting blocks --n 6 --l 3 --t 0", "90"),
+        ("extremal canonical --setting profiled --profile 1,2,2 --t 0", "15"),
+        ("extremal canonical --setting partial --profile 2,2,2 --t-set 1,3", "3"),
+    ],
+)
+def test_canonical_explicit_flags(capsys, argv, size):
+    # an explicit --t 0 is the whole universe; --t-set stands in for --t
+    code, out = run_cli(capsys, *argv.split(), "--format", "structured-records")
+    assert code == 0
+    assert out.split("\t")[2] == size
+
+
+def test_stirling2_large_arguments(capsys):
+    code = main(["count", "stirling2", "--n", "2000", "--l", "1000", "--format", "structured-records"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    assert captured.out.startswith("count-stirling2\tn=2000,l=1000\t4633327562754350")
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported by the Monte Carlo check alone
+    code = "import sys, partspread.cli; sys.exit('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+PROFILE_200 = ",".join(["2"] * 200)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        ("verify bell-ratio --n-max 30", 0,
+         "1fb81cb6d96740ebf556b51acb9f2c5b02c9779a1a39e5c57337b8289d8d46a0"),
+        ("verify bell-ratio --n-max 30 --format structured-records", 0,
+         "79f15182097238c4846f474d029bfb00a03a5077070c410bc6720b8fa3044f82"),
+        ("verify dobinski --n 0 --s-max 5", 1,
+         "dabec5d2a16a936ae9516aa6cb853800484c3d7aed94898f916d5945938261a2"),
+        ("verify dobinski --n 0 --s-max 5 --format structured-records", 1,
+         "09a5146218f3e05b251bacecce95e8342b9376c19ce050e5301654ef220e6b40"),
+        ("verify dobinski --n 12 --s-max 40", 0,
+         "9e5b645d51d8cf1045f5cb5b3b91557f36e2bf03117efde2e5810aeb3623fc30"),
+        ("verify dobinski --n 12 --s-max 40 --format structured-records", 0,
+         "4e098f5e5b6501c453cb718d45e8f444636cedaa50e925275f21669161b66083"),
+        ("verify no-singleton --s-max 30", 0,
+         "77c51e8105cc61723baf47d6bca6422474d8c53500432c939a9ba52fa36dbcad"),
+        ("verify no-singleton --s-max 30 --format structured-records", 0,
+         "0a91818821ca9871c70f8972996ef84a93b006b510a314c6f9371aad3f18e92b"),
+        ("verify stirling-growth --l-max 3 --n-cap 40", 0,
+         "40ab1fb105ded5fbbb5cd9a91d75a3709fdcb797850d121017ec5df5d76599fd"),
+        ("verify stirling-growth --l-max 3 --n-cap 40 --format structured-records", 0,
+         "0b2bc5b81b68cd087f6e4aa20d91a16339ee350b0703ec16cbc5cbb8817e386a"),
+        ("verify spreadness --setting bell --n 6 --t 2", 0,
+         "7168b390bd53fedd42f0f7fa5ebf033c03ba208391f652535b78feac3625ad81"),
+        ("verify spreadness --setting bell --n 6 --t 2 --format structured-records", 0,
+         "98cbef7d547200a07db56c86fbcbc7ad1af3ba7580ae89cae3506fead6722bf5"),
+        ("verify spreadness --setting bell --n 50 --mode formula", 0,
+         "9dfc602a6a4dfb324de1c8086c6d82ed5d61764c4dc4f4331027cabc756d5a78"),
+        ("verify spreadness --setting bell --n 50 --mode formula --format structured-records", 0,
+         "65cf96f4b4816e0f2b6a02a21afc7430642205994c99d5fa70d488407b7b7eef"),
+        ("verify spreadness --setting blocks --n 7 --l 4 --t 1", 0,
+         "e708b2c44ae25f8dc528ae27aba6762a2bd850cd1bedbd9e4082bf0bf9efc89c"),
+        ("verify spreadness --setting blocks --n 7 --l 4 --t 1 --format structured-records", 0,
+         "133429eb53e74c69f461139c8e4137f6f62326daa44e3c1f01df4d74460def48"),
+        ("verify spreadness --setting blocks --n 60 --l 4 --t 1 --mode formula", 0,
+         "1a6f4c342bbab09bf4d504cfaf3d76fdea8c631f92dc844362c1f9b9f7be2cb1"),
+        ("verify spreadness --setting blocks --n 60 --l 4 --t 1 --mode formula "
+         "--format structured-records", 0,
+         "9913e1a793625a978363c7a833c7c3254d66a6900271474ee9661c3e214e5613"),
+        ("verify spreadness --setting profiled --profile 1,2,2,3 --t 1", 0,
+         "46dbf5ac8f3eb919ed751cbbc2d70a8c906312015792746d4b7fcc9ecb864460"),
+        ("verify spreadness --setting profiled --profile 1,2,2,3 --t 1 "
+         "--format structured-records", 0,
+         "237d066ef3299515062c051b8898dd69a324f1b775040b415cea934f712ec050"),
+        (f"verify spreadness --setting profiled --profile {PROFILE_200} --t 20 --s-max 100 "
+         "--mode formula", 0,
+         "cfd178d871395ff8b7e24b69b0fbd2dee087e61442d10f2eed85b27e0baf3647"),
+        (f"verify spreadness --setting profiled --profile {PROFILE_200} --t 20 --s-max 100 "
+         "--mode formula --format structured-records", 0,
+         "c8038aaf587dcdd299184971fd9df1847f38d3203e4f428bb7fb373e605274eb"),
+        ("verify spreadness --setting kl-edges --k 2 --l 1 --mode direct", 0,
+         "0485685106bac4dc87c66a95d61ae9acb08d48755921d72ba64491035fca9601"),
+        ("verify spreadness --setting kl-edges --k 2 --l 1 --mode direct "
+         "--format structured-records", 0,
+         "37ec8d21e5b12456c8393f62aa517b30965fc47d8051028bdc47ba882bfd7bc0"),
+        ("verify spreadness --setting kl-edges --k 3 --l 2", 0,
+         "63d550de84868fe2f6a8ff0d404595c3fdb2488d953b5c48254972902a74f6ad"),
+        ("verify spreadness --setting kl-edges --k 3 --l 2 --format structured-records", 0,
+         "b511ecbfe20d5e1d5f0982bcbd71ccc3add28b45ac51591503d7eb7ea083dab9"),
+        ("verify spreadness --setting kl-edges --k 2 --l 10 --mode formula", 0,
+         "b544a617475ef69ac6f94002f5695e3b02e5856dd6e4da68f5a19481a3a34516"),
+        ("verify spreadness --setting kl-edges --k 2 --l 10 --mode formula "
+         "--format structured-records", 0,
+         "31dacf341e29c4e1f93699c3f579f4daed2f86e6ee522b136d9391203435971a"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2", 0,
+         "22cca54c66b529de988a1be308f5bff2b2f2fee146dc6e89f5f52629efc7f740"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 "
+         "--format structured-records", 0,
+         "eda953eb07355065dbe6526a6ce404d2e72de59d7c2f86b4ddaa9a605bceac9c"),
+        ("verify nonintersect --k 3 --l 2 --t 2 --t-set 1,2 --y 1,3,5|2,4,6", 1,
+         "6f4495773deeff51ce2fb5b5b3b5b859cd165d0eb4dfeddc29b1f8b0b97003fb"),
+        ("verify nonintersect --k 3 --l 2 --t 2 --t-set 1,2 --y 1,3,5|2,4,6 "
+         "--format structured-records", 1,
+         "2d9d4b05ebd3dd35759c78e3672d87760e9ad6e30d8ed35c5ee1fff1658fa2e2"),
+    ],
+)
+def test_verify_output_pinned(capsys, argv, code, digest):
+    # sha256 of the verify reports before their checks shared CheckReport.compare
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_programming_error_propagates(monkeypatch):

@@ -53,6 +53,19 @@ def test_stirling_recurrence_and_values():
         assert sum(stirling2(n, l) for l in range(n + 1)) == bell(n)
 
 
+def test_stirling2_matches_recurrence_table():
+    # S(n, l) = S(n-1, l-1) + l S(n-1, l), S(0, 0) = 1, built row by row
+    size = 61
+    table = [[0] * size for _ in range(size)]
+    table[0][0] = 1
+    for n in range(1, size):
+        for l in range(1, n + 1):
+            table[n][l] = table[n - 1][l - 1] + l * table[n - 1][l]
+    assert all(stirling2(n, l) == table[n][l] for n in range(size) for l in range(size))
+    with pytest.raises(DomainError):
+        stirling2(-1, 2)
+
+
 def test_tilde_bell_values_and_enumeration():
     assert tilde_bell(2) == 1
     assert tilde_bell(1) == 0
