@@ -75,7 +75,8 @@ def _required(args, name: str):
     value = getattr(args, name)
     if value is None:
         flag = "--" + name.replace("_", "-")
-        raise DomainError(f"{args.command} {args.what} needs {flag}")
+        command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
+        raise DomainError(f"{command} needs {flag}")
     return value
 
 
@@ -173,8 +174,6 @@ def _run_count(args) -> list[Record]:
     elif args.what == "derangements":
         value = count_derangements(_parse_partition(_required(args, "partition")))
         params = {"partition": args.partition}
-    else:
-        raise DomainError(f"unknown count {args.what!r}")
     return [Record.make(f"count-{args.what}", params, value, "-", "-", INFO)]
 
 
@@ -189,8 +188,6 @@ def _run_enumerate(args) -> list[Record]:
     elif args.what == "profiled":
         fam = enumerate_profiled(_parse_profile(_required(args, "profile")))
         params = {"profile": args.profile}
-    else:
-        raise DomainError(f"unknown enumeration {args.what!r}")
     count, listed = 0, []
     for count, p in enumerate(fam, 1):
         if args.list:
@@ -268,10 +265,13 @@ def _run_spread(args) -> list[Record]:
                 INFO,
             )
         ]
-    raise DomainError(f"unknown spread op {args.what!r}")
 
 
 def _run_approximate(args) -> list[Record]:
+    checked = args.r0 is not None or args.t is not None
+    if checked:  # the guarantee checks need both --r0 and --t
+        _required(args, "t")
+        _required(args, "r0")
     if args.ambient:
         universe, ambient = load_family(args.ambient)
         fam = load_subfamily(args.family, universe)
@@ -283,20 +283,16 @@ def _run_approximate(args) -> list[Record]:
     r = parse_ratio(args.r)
     res = spread_approximate(fam, r, args.q)
     recs = res.records()
-    if args.r0 is not None and args.t is not None:
+    if checked:
         recs += verify_approx(res, fam, ambient, r, parse_ratio(args.r0), args.q, args.t)
     return recs
 
 
 def _run_reduce(args) -> list[Record]:
     universe, ambient = load_family(args.family)
-    if args.s_file:
-        with open(args.s_file, "r", encoding="utf-8") as fh:
-            s = family_from_text(fh.read(), universe=universe)
-    else:
-        s = _family_from_indices(universe, _required(args, "s"))
+    s = _family_from_indices(universe, _required(args, "s"))
     if args.what == "minimize":
-        out = minimize_t_intersecting(s, args.t, args.q)
+        out = minimize_t_intersecting(s, args.t, _required(args, "q"))
         return [
             Record.make(
                 "minimize",
@@ -309,7 +305,7 @@ def _run_reduce(args) -> list[Record]:
         ]
     if args.what == "sequence":
         r = parse_ratio(args.r) if args.r else None
-        levels, checks = reduction_sequence(ambient, s, args.q, args.t, r=r)
+        levels, checks = reduction_sequence(ambient, s, _required(args, "q"), args.t, r=r)
         recs = []
         for i, (t_i, w_i) in enumerate(levels):
             recs.append(
@@ -321,15 +317,13 @@ def _run_reduce(args) -> list[Record]:
     if args.what == "dominance":
         r = parse_ratio(args.r) if args.r else None
         return check_dominance(ambient, s, args.t, parse_ratio(args.eps), r=r)
-    raise DomainError(f"unknown reduce op {args.what!r}")
 
 
 def _run_extremal(args) -> list[Record]:
     if args.what == "conjecture":
-        rep = check_conjecture_instance(
+        return check_conjecture_instance(
             _required(args, "k"), _required(args, "l"), _required(args, "t")
         )
-        return rep.records()
     if args.what == "oracle":
         if args.setting == "bell":
             universe = enumerate_partitions(_required(args, "n"))
@@ -376,7 +370,6 @@ def _run_extremal(args) -> list[Record]:
             with open(args.results, "a", encoding="utf-8") as fh:
                 fh.write(records_to_text(records))
         return records
-    raise DomainError(f"unknown extremal op {args.what!r}")
 
 
 def _run_verify(args) -> list[Record]:
@@ -410,8 +403,6 @@ def _run_verify(args) -> list[Record]:
             _required(args, "k"), _required(args, "l"), _required(args, "t"),
             _parse_int_list(_required(args, "t_set")), _parse_partition(_required(args, "y")),
         )
-    else:
-        raise DomainError(f"unknown verify op {args.what!r}")
     return rep.records()
 
 
@@ -493,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("minimize", "sequence", "dominance"))
     p.add_argument("--family", type=str, required=True, help="ambient family spec")
     p.add_argument("--s", type=str, default=None, help="members as 'i,j;k,l' indices")
-    p.add_argument("--s-file", type=str, default=None)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, default=None)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=str, default=None)
     p.add_argument("--eps", type=str, default="1/2")

@@ -10,12 +10,11 @@ union of cliques).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .partitions import Partition, iter_rgs, u_count
+from .partitions import Partition, iter_partitions
 from .setfam import EdgesUniverse, ElementSet, PartsUniverse, SetFamily
 
 
@@ -45,12 +44,6 @@ class SubPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def elements(self) -> set[int]:
-        out: set[int] = set()
-        for b in self.blocks:
-            out.update(b)
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubPartition) and self.blocks == other.blocks
@@ -114,35 +107,35 @@ def edges_to_subpartition(es: ElementSet) -> SubPartition:
     return SubPartition([c for c in comps.values() if len(c) >= 2])
 
 
-def count_extensions(k: int, l: int, x: SubPartition) -> int:
-    """Number of partitions of [k*l] into l k-blocks extending the subpartition.
+def count_extensions(k: int, l: int, sizes: Sequence[int]) -> int:
+    """Number of partitions of [k*l] into l k-blocks extending a subpartition
+    whose blocks have the given sizes.
 
-    A partition extends x when every block of x lies inside some part; two
-    blocks of x may share a part when their sizes fit.  For a fixed grouping
-    of the blocks into shared parts (group totals <= k) the count is the
-    multinomial
+    A partition extends the subpartition when every block of it lies inside
+    some part; two blocks may share a part when their sizes fit.  For a
+    fixed grouping of the blocks into shared parts (group totals <= k) the
+    count is the multinomial
 
-        (kl - sum|X_i|)! / ( (l - g)! * k!^(l-g) * prod_groups (k - size)! )
+        (kl - sum sizes)! / ( (l - g)! * k!^(l-g) * prod_groups (k - size)! )
 
-    with g groups, and the exact total sums this over all groupings.  The
-    bare single-block-per-part term alone undercounts as soon as two block
-    sizes fit into one part (first at k = 4 with two pairs); the summed form
-    is validated against enumeration for every u(k,l) <= 1e5 in the tests.
+    with g groups, and the exact total sums this over all groupings, which
+    are the partitions of the block indices (under the enumeration guard).
+    The bare single-block-per-part term alone undercounts as soon as two
+    block sizes fit into one part (first at k = 4 with two pairs); the
+    summed form is validated against enumeration for every u(k,l) <= 1e5 in
+    the tests.
     """
     if k < 1 or l < 1:
         raise DomainError("need k >= 1 and l >= 1")
-    a = x.num_blocks
-    sizes = [len(b) for b in x.blocks]
-    for b in x.blocks:
-        if len(b) > k:
-            raise DomainError(f"block {b} larger than the part size {k}")
-    if any(e < 1 or e > k * l for e in x.elements()):
-        raise DomainError(f"subpartition elements must lie in [{k * l}]")
+    if any(not 2 <= s <= k for s in sizes):
+        raise DomainError(f"block sizes must lie in [2, {k}]")
     fixed = sum(sizes)
+    if fixed > k * l:
+        raise DomainError(f"blocks of total size {fixed} do not fit in [{k * l}]")
     free = math.factorial(k * l - fixed)
     total = 0
-    for grouping in _block_groupings(a):
-        group_sizes = [sum(sizes[i] for i in g) for g in grouping]
+    for grouping in iter_partitions(len(sizes)):
+        group_sizes = [sum(sizes[i - 1] for i in g) for g in grouping.blocks]
         if any(s > k for s in group_sizes):
             continue
         g = len(group_sizes)
@@ -155,23 +148,6 @@ def count_extensions(k: int, l: int, x: SubPartition) -> int:
         assert rem == 0
         total += term
     return total
-
-
-def _block_groupings(a: int):
-    """All set partitions of block indices 0..a-1 (a is tiny in practice).
-
-    Groups come in first-seen label order, so their minima increase.
-    """
-    for rgs in iter_rgs(a):
-        groups: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
-        for i, label in enumerate(rgs):
-            groups[label].append(i)
-        yield groups
-
-
-def extension_ratio(k: int, l: int, x: SubPartition) -> Fraction:
-    """count_extensions / u(k,l) as an exact rational."""
-    return Fraction(count_extensions(k, l, x), u_count(k, l))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -250,25 +250,16 @@ def max_compatible_family(
 # conjecture instances
 
 
-@dataclass
-class ConjectureReport:
-    k: int
-    l: int
-    t: int
-    oracle_size: int
-    canonical_size: int
-    relation: str  # "equal" | "oracle-larger" | "trivial-t1"
-    uniqueness: Optional[bool]  # every maximum witness is canonical; None unknown
-    records_list: list[Record] = field(default_factory=list)
+def _conjecture_step(
+    k: int, l: int, t: int, enumerate_all: bool
+) -> tuple[list[Partition], Optional[OracleResult], int]:
+    """(universe, oracle result or None at t = 1, canonical size) for partial
+    t-intersection on uniform (k,l) partitions.
 
-    def records(self) -> list[Record]:
-        return list(self.records_list)
-
-
-def check_conjecture_instance(k: int, l: int, t: int) -> ConjectureReport:
-    """Oracle maximum for partial t-intersection on uniform (k,l) partitions
-    versus the canonical family size, with a witness-uniqueness check when
-    all maximum cliques are enumerable."""
+    The canonical family is checked to be a clique, and an oracle below its
+    size is an integrity error.  At t = 1 any two partitions partially
+    intersect, so no oracle runs.
+    """
     if t > k:
         raise DomainError("need t <= k: no block can contain the anchor set")
     total = u_count(k, l)
@@ -279,25 +270,30 @@ def check_conjecture_instance(k: int, l: int, t: int) -> ConjectureReport:
         )
     profile = Profile.uniform(k, l)
     universe = enumerate_profiled(profile)
-    recs: list[Record] = []
-
     canon, canon_size = canonical_family(
         CanonicalSpec(setting="partial", profile=profile, t=t)
     )
     _assert_clique(canon, "partially-t-intersect", t)
-
     if t == 1:
-        recs.append(
-            Record.make(
-                "conjecture",
-                {"k": k, "l": l, "t": 1},
-                total,
-                canon_size,
-                "-",
-                SKIPPED,
-            )
+        return universe, None, canon_size
+    result = max_compatible_family(universe, "partially-t-intersect", t, enumerate_all)
+    if result.max_size < canon_size:
+        raise IntegrityError(
+            "oracle below the canonical clique size; the canonical family "
+            "is itself compatible"
         )
-        recs.append(
+    return universe, result, canon_size
+
+
+def check_conjecture_instance(k: int, l: int, t: int) -> list[Record]:
+    """Oracle maximum for partial t-intersection on uniform (k,l) partitions
+    versus the canonical family size, with a witness-uniqueness check when
+    all maximum cliques are enumerable."""
+    universe, result, canon_size = _conjecture_step(k, l, t, enumerate_all=True)
+    params = {"k": k, "l": l, "t": t}
+    if result is None:
+        return [
+            Record.make("conjecture", params, len(universe), canon_size, "-", SKIPPED),
             Record.make(
                 "conjecture-note",
                 {"k": k, "l": l},
@@ -305,58 +301,24 @@ def check_conjecture_instance(k: int, l: int, t: int) -> ConjectureReport:
                 "-",
                 "any two partitions partially 1-intersect",
                 INFO,
-            )
-        )
-        return ConjectureReport(k, l, 1, total, canon_size, "trivial-t1", None, recs)
-
-    result = max_compatible_family(universe, "partially-t-intersect", t, enumerate_all=True)
-    if result.max_size < canon_size:
-        raise IntegrityError(
-            "oracle below the canonical clique size; the canonical family "
-            "is itself compatible"
-        )
-    relation = "equal" if result.max_size == canon_size else "oracle-larger"
-    recs.append(
+            ),
+        ]
+    equal = result.max_size == canon_size
+    margin = result.max_size - canon_size
+    recs = [
         Record.make(
-            "conjecture",
-            {"k": k, "l": l, "t": t},
-            result.max_size,
-            canon_size,
-            result.max_size - canon_size,
-            PASS if relation == "equal" else FAIL,
+            "conjecture", params, result.max_size, canon_size, margin, PASS if equal else FAIL
         )
-    )
-
-    uniqueness = None
-    if result.all_maximum is not None and relation == "equal":
+    ]
+    if result.all_maximum is not None and equal:
         canon_keys = _canonical_witness_keys(k, l, t, universe)
-        uniqueness = all(
-            frozenset(w) in canon_keys for w in result.all_maximum
-        )
-        recs.append(
-            Record.make(
-                "conjecture-uniqueness",
-                {"k": k, "l": l, "t": t, "maximum_cliques": len(result.all_maximum)},
-                "-",
-                "-",
-                "-",
-                PASS if uniqueness else FAIL,
-            )
-        )
+        unique = all(frozenset(w) in canon_keys for w in result.all_maximum)
+        params["maximum_cliques"] = len(result.all_maximum)
+        margin, verdict = "-", PASS if unique else FAIL
     else:
-        recs.append(
-            Record.make(
-                "conjecture-uniqueness",
-                {"k": k, "l": l, "t": t},
-                "-",
-                "-",
-                "uniqueness unverified",
-                SKIPPED,
-            )
-        )
-    return ConjectureReport(
-        k, l, t, result.max_size, canon_size, relation, uniqueness, recs
-    )
+        margin, verdict = "uniqueness unverified", SKIPPED
+    recs.append(Record.make("conjecture-uniqueness", params, "-", "-", margin, verdict))
+    return recs
 
 
 def _canonical_witness_keys(
@@ -414,9 +376,9 @@ def run_catalog(text: str) -> list[Record]:
         if None in {"partial": (k, l, t), "bell": (t, n), "blocks": (l, t, n)}.get(setting, ()):
             raise DomainError(f"catalog line {lineno}: a field the {setting} setting uses is '-'")
         if setting == "partial":
-            rep = check_conjecture_instance(k, l, t)
-            observed = rep.oracle_size
-            reference = rep.canonical_size
+            # the catalog prints only the sizes: no uniqueness search
+            universe, res, reference = _conjecture_step(k, l, t, enumerate_all=False)
+            observed = len(universe) if res is None else res.max_size
         elif setting == "bell":
             res = max_compatible_family(enumerate_partitions(n), "t-intersect", t)
             observed = res.max_size

@@ -200,7 +200,9 @@ def u_count(k: int, l: int) -> int:
 def iter_rgs(n: int) -> Iterator[list[int]]:
     """Restricted growth strings of length n in lexicographic order.
 
-    Yields an internal buffer that is mutated in place; copy before storing.
+    The tests' independent reference for `_canonical_blocks`; nothing in
+    the package enumerates through it.  Yields an internal buffer that is
+    mutated in place; copy before storing.
     """
     if n == 0:
         yield []

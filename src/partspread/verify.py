@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure
 from .encoding import (
-    SubPartition,
     count_extensions,
     edges_to_subpartition,
     encode_family_edges,
@@ -155,15 +154,6 @@ def _subpartition_shapes(k: int, l: int):
 
     grow((), k)
     return shapes
-
-
-def _shape_to_subpartition(shape: Sequence[int]) -> SubPartition:
-    blocks = []
-    nxt = 1
-    for size in sorted(shape, reverse=True):
-        blocks.append(tuple(range(nxt, nxt + size)))
-        nxt += size
-    return SubPartition(blocks)
 
 
 def check_encoded_spreadness(
@@ -367,9 +357,8 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
     if mode in ("formula", "both"):
         u_full = u_count(k, l)
         for shape in _subpartition_shapes(k, l):
-            x = _shape_to_subpartition(shape)
-            m_x = x.weight
-            ext = count_extensions(k, l, x)
+            m_x = sum(shape) - len(shape)
+            ext = count_extensions(k, l, shape)
             for claim, power, rhs in (
                 ("ratio", 1, Fraction(9, l) ** m_x),
                 ("ratio-cube", 3, f"(9/l)^({m_x}/3)"),

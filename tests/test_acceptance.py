@@ -204,16 +204,14 @@ def test_criterion_07_reduction():
 @_criterion(8, "extremal oracles at the catalog instances, canonical cliques verified")
 def test_criterion_08_extremal_oracles():
     t0 = time.time()
-    assert check_conjecture_instance(2, 2, 2).oracle_size == 1
-    rep23 = check_conjecture_instance(2, 3, 2)
-    assert rep23.oracle_size == 3 == rep23.canonical_size
-    rep24 = check_conjecture_instance(2, 4, 2)
-    assert rep24.oracle_size == 15 == u_count(2, 3) == rep24.canonical_size
-    assert rep24.relation == "equal"
-    rep25 = check_conjecture_instance(2, 5, 2)
-    assert rep25.relation == "equal" and rep25.uniqueness is True
-    assert rep25.records()[-1].verdict == "pass"
-    assert "maximum_cliques=45" in rep25.records()[-1].params
+    for l, size in [(2, 1), (3, 3), (4, u_count(2, 3))]:
+        (conj,) = select(check_conjecture_instance(2, l, 2), "conjecture")
+        assert conj.lhs == conj.rhs == str(size) and conj.verdict == "pass"
+    recs25 = check_conjecture_instance(2, 5, 2)
+    (conj,) = select(recs25, "conjecture")
+    assert conj.lhs == conj.rhs and conj.verdict == "pass"
+    (uniq,) = select(recs25, "conjecture-uniqueness", maximum_cliques=45)
+    assert uniq.verdict == "pass"
     res = max_compatible_family(enumerate_partitions(3), "t-intersect", 1)
     assert res.max_size == 2 == bell(2)
     for n, l in [(5, 3), (6, 3)]:

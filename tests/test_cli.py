@@ -113,6 +113,13 @@ def test_reduce_cli(capsys):
     assert code == 0
 
 
+def test_reduce_dominance_takes_q_from_s(capsys):
+    argv = ["reduce", "dominance", "--family", "kl:2,3", "--s", "0,1;1,2;0,2", "--t", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and "dominance" in out
+    assert run_cli(capsys, *argv, "--q", "2") == (0, out)
+
+
 def test_verify_nonintersect_cli(capsys):
     code, out = run_cli(
         capsys, "verify", "nonintersect", "--k", "2", "--l", "3", "--t", "2",
@@ -225,6 +232,10 @@ def test_sunflower_and_covering_cli(capsys):
         ("enumerate profiled", "--profile"),
         ("extremal oracle --setting profiled --t 1", "--profile"),
         ("reduce minimize --family kl:2,3 --q 2 --t 1", "--s"),
+        ("reduce minimize --family kl:2,3 --s 0,1 --t 1", "--q"),
+        ("reduce sequence --family kl:2,3 --s 0,1 --t 1", "--q"),
+        ("approximate --family bell:3 --r 2 --q 2 --r0 3", "--t"),
+        ("approximate --family bell:3 --r 2 --q 2 --t 1", "--r0"),
         ("verify containment --r 2 --m 1 --delta 1/2", "--family"),
         ("verify nonintersect --k 2 --l 3 --t 2 --y 1,3|2,4|5,6", "--t-set"),
         ("verify nonintersect --k 2 --l 3 --t 2 --t-set 1,2", "--y"),
@@ -280,6 +291,15 @@ def test_enumeration_guard_refusal(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the enumeration guard 13\n"
+
+
+def test_kl_edges_formula_counts_under_the_enumeration_guard(capsys):
+    # the groupings of a 9-pair shape are the partitions of 9 block indices
+    argv = "verify spreadness --setting kl-edges --k 2 --l 10 --mode formula --guard-enum 8"
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ENUM_MAX_N: n=9 exceeds the enumeration guard 8\n"
 
 
 def test_approximate_huge_r_builds_no_power(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import select
 from partspread import extremal, guards
 from partspread.cli import main
 from partspread.errors import DomainError, IntegrityError, ResourceLimitError
@@ -10,6 +11,7 @@ from partspread.extremal import (
     canonical_family,
     check_conjecture_instance,
     max_compatible_family,
+    run_catalog,
 )
 from partspread.partitions import (
     Profile,
@@ -203,19 +205,35 @@ def test_oracle_guard():
 
 
 def test_conjecture_instances_small():
-    rep = check_conjecture_instance(2, 3, 2)
-    assert rep.relation == "equal"
-    assert rep.oracle_size == rep.canonical_size == 3
-    assert rep.uniqueness is True
-    rep = check_conjecture_instance(2, 2, 2)
-    assert rep.relation == "equal" and rep.oracle_size == 1
-    assert rep.uniqueness is True
+    recs = check_conjecture_instance(2, 3, 2)
+    (conj,) = select(recs, "conjecture")
+    assert conj.verdict == "pass" and conj.lhs == conj.rhs == "3"
+    (uniq,) = select(recs, "conjecture-uniqueness")
+    assert uniq.verdict == "pass"
+    recs = check_conjecture_instance(2, 2, 2)
+    (conj,) = select(recs, "conjecture")
+    assert conj.verdict == "pass" and conj.lhs == conj.rhs == "1"
+    (uniq,) = select(recs, "conjecture-uniqueness")
+    assert uniq.verdict == "pass"
 
 
 def test_conjecture_t1_trivial():
-    rep = check_conjecture_instance(2, 3, 1)
-    assert rep.relation == "trivial-t1"
-    assert rep.oracle_size == u_count(2, 3)
+    recs = check_conjecture_instance(2, 3, 1)
+    (conj,) = select(recs, "conjecture", t=1)
+    assert conj.verdict == "skipped" and conj.lhs == str(u_count(2, 3))
+    (note,) = select(recs, "conjecture-note")
+    assert note.margin == "any two partitions partially 1-intersect"
+    assert len(recs) == 2
+
+
+def test_catalog_partial_lines_match_the_conjecture_check():
+    # the catalog skips the uniqueness search but prints the same sizes
+    instances = [(2, 2, 2), (2, 3, 2), (2, 3, 1), (2, 4, 2), (3, 2, 2)]
+    text = "".join(f"partial {k} {l} {t} -\n" for k, l, t in instances)
+    for (k, l, t), line in zip(instances, run_catalog(text), strict=True):
+        (conj,) = select(check_conjecture_instance(k, l, t), "conjecture")
+        assert (line.lhs, line.rhs) == (conj.lhs, conj.rhs)
+        assert line.params == f"setting=partial,k={k},l={l},t={t},n=-"
 
 
 def test_conjecture_guards():
@@ -255,11 +273,12 @@ def test_oracle_nodes_pinned(universe, predicate, t, size, nodes):
 def test_uniqueness_cap_boundary():
     # (2,4,2) has 28 maximum cliques: a cap of 27 gives up, 28 verifies
     with guards.limited(clique_unique_max=27):
-        rep = check_conjecture_instance(2, 4, 2)
-    assert rep.relation == "equal" and rep.uniqueness is None
-    assert rep.records()[-1].verdict == "skipped"
+        recs = check_conjecture_instance(2, 4, 2)
+    (conj,) = select(recs, "conjecture")
+    assert conj.verdict == "pass" and conj.lhs == conj.rhs
+    (uniq,) = select(recs, "conjecture-uniqueness")
+    assert uniq.verdict == "skipped" and uniq.margin == "uniqueness unverified"
     with guards.limited(clique_unique_max=28):
-        rep = check_conjecture_instance(2, 4, 2)
-    assert rep.uniqueness is True
-    assert rep.records()[-1].verdict == "pass"
-    assert "maximum_cliques=28" in rep.records()[-1].params
+        recs = check_conjecture_instance(2, 4, 2)
+    (uniq,) = select(recs, "conjecture-uniqueness", maximum_cliques=28)
+    assert uniq.verdict == "pass"
