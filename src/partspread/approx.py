@@ -312,17 +312,15 @@ def _forbidden_restriction_exists(fam: SetFamily, bound: int) -> tuple[Optional[
     """
     if fam.size <= 1:
         return False, 0
+    total = 0
     try:
         counts = candidate_counts(fam)
+        x_candidates = [0] + sorted(counts)
+        for x in x_candidates:
+            total += 2 ** (counts[x] if x else fam.size)
+            guards.require("subfamily_scan_max", total, "subfamily/restriction pairs")
     except ResourceLimitError:
-        return None, 0
-    x_candidates = [0] + sorted(counts)
-    limit = guards.current().subfamily_scan_max
-    total = 0
-    for x in x_candidates:
-        total += 2 ** (counts[x] if x else fam.size)
-        if total > limit:
-            return None, total
+        return None, total
     scanned = 0
     for x in x_candidates:
         residues = [m & ~x for m in fam.masks if m & x == x]

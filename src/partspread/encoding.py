@@ -13,7 +13,7 @@ import math
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, IntegrityError
 from .partitions import Partition, iter_partitions
 from .setfam import EdgesUniverse, ElementSet, PartsUniverse, SetFamily
 
@@ -145,7 +145,8 @@ def count_extensions(k: int, l: int, sizes: Sequence[int]) -> int:
         for s in group_sizes:
             denom *= math.factorial(k - s)
         term, rem = divmod(free, denom)
-        assert rem == 0
+        if rem:
+            raise IntegrityError("an extension count term is not an integer")
         total += term
     return total
 

@@ -12,7 +12,9 @@ class PreconditionError(ValueError):
 class ResourceLimitError(RuntimeError):
     """An enumeration or search guard would be exceeded.
 
-    The message always names the guard so callers can raise it explicitly.
+    Raised only by `guards.require`, before the guarded work starts.  The
+    message reads ``<FIELD>: <what>=<used> exceeds the guard <limit>``, with
+    the `guards.Limits` field in upper case.
     """
 
 

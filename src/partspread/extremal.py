@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import guards
-from .errors import DomainError, IntegrityError, ResourceLimitError
+from .errors import DomainError, IntegrityError
 from .partitions import (
     Partition,
     Profile,
@@ -227,12 +227,8 @@ def max_compatible_family(
     """Exact largest pairwise-compatible subfamily of the enumerated universe."""
     if predicate not in PREDICATES:
         raise DomainError(f"unknown predicate {predicate!r}")
-    limit = guards.current().clique_vertex_max
     n = len(universe)
-    if n > limit:
-        raise ResourceLimitError(
-            f"CLIQUE_VERTEX_MAX: {n} vertices exceed the guard {limit}"
-        )
+    guards.require("clique_vertex_max", n, "vertices")
     pred = PREDICATES[predicate]
     adj = [0] * n
     for i in range(n):
@@ -262,12 +258,7 @@ def _conjecture_step(
     """
     if t > k:
         raise DomainError("need t <= k: no block can contain the anchor set")
-    total = u_count(k, l)
-    limit = guards.current().clique_vertex_max
-    if total > limit:
-        raise ResourceLimitError(
-            f"CLIQUE_VERTEX_MAX: u({k},{l}) = {total} exceeds the guard {limit}"
-        )
+    guards.require("clique_vertex_max", u_count(k, l), f"u({k},{l})")
     profile = Profile.uniform(k, l)
     universe = enumerate_profiled(profile)
     canon, canon_size = canonical_family(

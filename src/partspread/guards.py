@@ -3,13 +3,16 @@
 The guards keep desk-scale runs within minutes.  They live in one frozen
 `Limits` value: every guarded operation reads `current()`, and
 `with limited(field=value):` puts changed limits in force for the block
-only (a scoped context, like `decimal.localcontext`).  The CLI exposes
+only (a scoped context, like `decimal.localcontext`).  Every refusal goes
+through `require`, before the work it guards starts.  The CLI exposes
 every limit except `clique_unique_max` as a ``--guard-<name>`` flag.
 """
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+
+from .errors import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -56,3 +59,18 @@ def limited(**changes):
         yield _current.get()
     finally:
         _current.reset(token)
+
+
+def require(field: str, used: int, what: str) -> None:
+    """Refuse work of size `used` above the `field` limit in force.
+
+    The one place a ResourceLimitError is built; its message reads
+    ``<FIELD>: <what>=<used> exceeds the guard <limit>``.  A `used` of more
+    than 4096 bits reads ``<what>>=2^<bits - 1>``: decimal conversion is
+    quadratic in the digits, and a caught refusal pays for it too.
+    """
+    limit = getattr(current(), field)
+    if used > limit:
+        bits = used.bit_length()
+        shown = f"={used}" if bits <= 4096 else f">=2^{bits - 1}"
+        raise ResourceLimitError(f"{field.upper()}: {what}{shown} exceeds the guard {limit}")

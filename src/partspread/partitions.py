@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from . import guards
 
 
@@ -55,7 +55,10 @@ class Partition:
         return len(self.blocks)
 
     def profile(self) -> "Profile":
-        return Profile(sorted(len(b) for b in self.blocks))
+        # sorted block lengths of a valid partition need no re-validation
+        p = object.__new__(Profile)
+        p.sizes = tuple(sorted(map(len, self.blocks)))
+        return p
 
     def block_masks(self) -> tuple[int, ...]:
         """Per-block bitmask with bit (e-1) set for element e."""
@@ -233,11 +236,7 @@ def _canonical_blocks(
     growth strings.  A branch is cut as soon as its final block count cannot
     land in [lo, hi].  Siblings share their unchanged block tuples.
     """
-    limit = guards.current().enum_max_n
-    if n > limit:
-        raise ResourceLimitError(
-            f"ENUM_MAX_N: n={n} exceeds the enumeration guard {limit}"
-        )
+    guards.require("enum_max_n", n, "n")
     if n == 0:
         if lo <= 0 <= hi:
             yield ()
@@ -303,13 +302,9 @@ def _gen_profiled(
 
 def enumerate_profiled(p: Profile) -> list[Partition]:
     """All partitions of [sum(sizes)] whose block sizes match the profile."""
-    total = count_profiled(p)
-    limit = guards.current().profiled_enum_max
-    if total > limit:
-        raise ResourceLimitError(
-            f"PROFILED_ENUM_MAX: profile {p.sizes} has {total} partitions, "
-            f"exceeding the guard {limit}"
-        )
+    guards.require(
+        "profiled_enum_max", count_profiled(p), f"partitions of profile {p.sizes}"
+    )
     n = p.n
     elems = tuple(range(1, n + 1))
     return [Partition._trusted(n, bl) for bl in _gen_profiled(elems, p.sizes)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from . import guards
 
 
@@ -302,12 +302,10 @@ def covering_number(f: SetFamily) -> tuple[int, ElementSet]:
         raise DomainError("covering number of an empty family is undefined")
     if any(m == 0 for m in f.masks):
         raise DomainError("family contains the empty set; no cover can hit it")
-    limits = guards.current()
-    n_guard, f_guard = limits.cover_universe_max, limits.cover_family_max
-    if f.universe.size > n_guard and f.size > f_guard:
-        raise ResourceLimitError(
-            f"COVER guard: universe {f.universe.size} > {n_guard} and "
-            f"family {f.size} > {f_guard}"
+    n_guard = guards.current().cover_universe_max
+    if f.universe.size > n_guard:
+        guards.require(
+            "cover_family_max", f.size, f"universe {f.universe.size} > {n_guard} and family size"
         )
     masks = list(f.masks)
     tau = 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
 from .setfam import ElementSet, SetFamily, mask_indices, restrict
 from . import guards
@@ -24,12 +24,8 @@ def candidate_counts(f: SetFamily) -> dict[int, int]:
 
     Refused above the spread_candidate_max limit before the map is built.
     """
-    limit = guards.current().spread_candidate_max
     total = sum(2 ** m.bit_count() for m in f.masks)
-    if total > limit:
-        raise ResourceLimitError(
-            f"SPREAD_CANDIDATE_MAX: {total} candidate sets exceed the guard {limit}"
-        )
+    guards.require("spread_candidate_max", total, "candidate sets")
     counts: dict[int, int] = {}
     for m in f.masks:
         sub = m
@@ -247,11 +243,7 @@ def find_sunflower(f: SetFamily, l: int) -> Optional[tuple[ElementSet, list[Elem
     """
     if l < 1:
         raise DomainError("find_sunflower needs l >= 1")
-    limit = guards.current().sunflower_family_max
-    if f.size > limit:
-        raise ResourceLimitError(
-            f"SUNFLOWER_FAMILY_MAX: family size {f.size} exceeds guard {limit}"
-        )
+    guards.require("sunflower_family_max", f.size, "family size")
     if f.size < l:
         return None
     if l == 1:

@@ -39,6 +39,7 @@ from .partitions import (
 from .report import FAIL, FINDING, INFO, PASS, VACUOUS, CheckReport
 from .setfam import ElementSet, SetFamily
 from .spread import candidate_counts, is_r_spread, spread_factor, spread_from_counts, weak_spread
+from . import guards
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +319,9 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
     # each bound has a linear variant, claimed for m <= kl/3, and a cube-root
     # variant, claimed for every m; power is the exponent of the count ratio
     if mode in ("direct", "both"):
+        # every member has l * C(k, 2) edges: refuse the scan before enumerating
+        candidates = u_count(k, l) * 2 ** (l * math.comb(k, 2))
+        guards.require("spread_candidate_max", candidates, "candidate sets")
         universe = enumerate_profiled(Profile.uniform(k, l))
         u, fam = encode_family_edges(universe)
         counts = candidate_counts(fam)

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from partspread import cli
+from partspread import cli, guards, verify
 from partspread.cli import load_family, load_subfamily, main
-from partspread.encoding import encode_edges, encode_parts
-from partspread.errors import DomainError
+from partspread.encoding import encode_edges, encode_family_edges, encode_parts
+from partspread.errors import DomainError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
 from partspread.partitions import Profile, enumerate_into_blocks, enumerate_uniform
 from partspread.setfam import family_to_text
+from partspread.spread import candidate_counts
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -290,7 +291,7 @@ def test_enumeration_guard_refusal(capsys, argv):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the enumeration guard 13\n"
+    assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the guard 13\n"
 
 
 def test_kl_edges_formula_counts_under_the_enumeration_guard(capsys):
@@ -299,7 +300,46 @@ def test_kl_edges_formula_counts_under_the_enumeration_guard(capsys):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ENUM_MAX_N: n=9 exceeds the enumeration guard 8\n"
+    assert captured.err == "error: ENUM_MAX_N: n=9 exceeds the guard 8\n"
+
+
+def test_kl_edges_direct_scan_refused_before_enumerating(capsys, monkeypatch):
+    def unreachable(profile):
+        raise AssertionError("enumerated before the candidate guard")
+
+    monkeypatch.setattr(verify, "enumerate_profiled", unreachable)
+    argv = "verify spreadness --setting kl-edges --k 4 --l 4 --mode direct"
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # u(4,4) * 2^(4 * C(4,2)) = 2627625 * 2^24, the count candidate_counts would refuse
+    assert captured.err == (
+        "error: SPREAD_CANDIDATE_MAX: candidate sets=44084232192000 "
+        "exceeds the guard 10000000\n"
+    )
+
+
+def test_kl_edges_refusal_of_a_huge_count(capsys):
+    # one member of C(4000, 2) = 7998000 edges: 2^7998000 candidate sets, whose
+    # 2.4M decimal digits exceed the interpreter's int-to-str limit
+    argv = "verify spreadness --setting kl-edges --k 4000 --l 1 --mode direct"
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == (
+        "error: SPREAD_CANDIDATE_MAX: candidate sets>=2^7998000 exceeds the guard 10000000\n"
+    )
+
+
+def test_kl_edges_candidate_closed_form_matches_the_scan(capsys):
+    # u(2,3) = 15 members of 3 edges each: 15 * 2^3 = 120 candidate sets
+    _, fam = encode_family_edges(enumerate_uniform(2, 3))
+    with guards.limited(spread_candidate_max=119):
+        with pytest.raises(ResourceLimitError) as info:
+            candidate_counts(fam)
+    argv = "verify spreadness --setting kl-edges --k 2 --l 3 --mode direct --guard-spread 119"
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    argv = argv.replace("119", "120")
+    assert main(argv.split()) == 0
 
 
 def test_approximate_huge_r_builds_no_power(capsys):

@@ -1,4 +1,5 @@
-"""Source layout rules: no run-time writes to guards, no private cross-module imports."""
+"""Source layout rules: no run-time writes to guards, no private cross-module imports,
+and no refusal built outside guards.require."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,7 @@ def _is_guards(node) -> bool:
     return isinstance(node, ast.Name) and node.id == "guards"
 
 
-def _violations(tree: ast.AST) -> list[str]:
+def _violations(tree: ast.AST, name: str = "") -> list[str]:
     found = []
     for node in ast.walk(tree):
         targets = []
@@ -31,6 +32,13 @@ def _violations(tree: ast.AST) -> list[str]:
             and _is_guards(node.args[0])
         ):
             found.append(f"line {node.lineno}: {node.func.id} on guards")
+        if (
+            name != "guards.py"
+            and isinstance(node, ast.Call)
+            and "ResourceLimitError"
+            in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ):
+            found.append(f"line {node.lineno}: builds ResourceLimitError outside guards.require")
         if isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").startswith("partspread")
         ):
@@ -42,7 +50,7 @@ def _violations(tree: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_layout(path):
-    assert _violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _violations(ast.parse(path.read_text(encoding="utf-8")), path.name) == []
 
 
 def test_layout_rules_catch_violations():
@@ -51,5 +59,8 @@ def test_layout_rules_catch_violations():
         "from .spread import _violator\n"
         "guards.ENUM_MAX_N = 5\n"
         "setattr(guards, 'X', 1)\n"
+        "raise ResourceLimitError('X: n=2 exceeds the guard 1')\n"
+        "raise errors.ResourceLimitError('X: n=2 exceeds the guard 1')\n"
     )
-    assert len(_violations(ast.parse(bad))) == 3
+    assert len(_violations(ast.parse(bad), "spread.py")) == 5
+    assert len(_violations(ast.parse(bad), "guards.py")) == 3

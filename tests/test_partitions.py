@@ -140,7 +140,7 @@ def test_enumeration_guard_parity():
         assert len(enumerate_into_blocks(5, 2)) == stirling2(5, 2)
         assert count_derangements(at) == bell(5) - 1
         it = iter_partitions(6)
-        with pytest.raises(ResourceLimitError, match="ENUM_MAX_N: n=6 exceeds the enumeration guard 5"):
+        with pytest.raises(ResourceLimitError, match="ENUM_MAX_N: n=6 exceeds the guard 5"):
             next(it)
         with pytest.raises(ResourceLimitError, match="ENUM_MAX_N: n=6 exceeds"):
             enumerate_into_blocks(6, 2)
