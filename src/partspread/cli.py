@@ -349,13 +349,16 @@ def _run_extremal(args) -> list[Record]:
             )
         ]
     if args.what == "canonical":
+        t_set = _parse_int_list(args.t_set) if args.t_set else None
+        if t_set is not None and args.t not in (None, len(t_set)):
+            raise DomainError(f"--t {args.t} differs from the size {len(t_set)} of --t-set")
         spec = CanonicalSpec(
             setting=args.setting,
             n=_required(args, "n") if args.setting in ("bell", "blocks") else 0,
             l=_required(args, "l") if args.setting == "blocks" else 0,
-            t=(args.t or 0) if args.t_set else _required(args, "t"),
+            t=len(t_set) if t_set else _required(args, "t"),
             profile=_parse_profile(args.profile) if args.profile else None,
-            t_set=_parse_int_list(args.t_set) if args.t_set else None,
+            t_set=t_set,
         )
         fam, size = canonical_family(spec)
         return [

@@ -10,11 +10,12 @@ union of cliques).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, IntegrityError
-from .partitions import Partition, iter_partitions
+from .partitions import Partition
 from .setfam import EdgesUniverse, ElementSet, PartsUniverse, SetFamily
 
 
@@ -112,18 +113,12 @@ def count_extensions(k: int, l: int, sizes: Sequence[int]) -> int:
     whose blocks have the given sizes.
 
     A partition extends the subpartition when every block of it lies inside
-    some part; two blocks may share a part when their sizes fit.  For a
-    fixed grouping of the blocks into shared parts (group totals <= k) the
-    count is the multinomial
-
-        (kl - sum sizes)! / ( (l - g)! * k!^(l-g) * prod_groups (k - size)! )
-
-    with g groups, and the exact total sums this over all groupings, which
-    are the partitions of the block indices (under the enumeration guard).
-    The bare single-block-per-part term alone undercounts as soon as two
-    block sizes fit into one part (first at k = 4 with two pairs); the
-    summed form is validated against enumeration for every u(k,l) <= 1e5 in
-    the tests.
+    some part; two blocks may share a part when their sizes fit.  The blocks
+    go one at a time into l labelled parts of capacity k; a state counts the
+    parts at each load 0..k and maps to its number of placements.  A final
+    state with c_v parts at load v has (kl - sum sizes)! / prod_v
+    ((k - v)!)^(c_v) fillings, and dividing the sum by l! unlabels the parts.
+    Validated against the grouping sum and enumeration in the tests.
     """
     if k < 1 or l < 1:
         raise DomainError("need k >= 1 and l >= 1")
@@ -132,22 +127,24 @@ def count_extensions(k: int, l: int, sizes: Sequence[int]) -> int:
     fixed = sum(sizes)
     if fixed > k * l:
         raise DomainError(f"blocks of total size {fixed} do not fit in [{k * l}]")
-    free = math.factorial(k * l - fixed)
-    total = 0
-    for grouping in iter_partitions(len(sizes)):
-        group_sizes = [sum(sizes[i - 1] for i in g) for g in grouping.blocks]
-        if any(s > k for s in group_sizes):
-            continue
-        g = len(group_sizes)
-        if g > l:
-            continue
-        denom = math.factorial(l - g) * math.factorial(k) ** (l - g)
-        for s in group_sizes:
-            denom *= math.factorial(k - s)
-        term, rem = divmod(free, denom)
-        if rem:
-            raise IntegrityError("an extension count term is not an integer")
-        total += term
+    states = {(l,) + (0,) * k: 1}
+    for s in sizes:
+        placed: Counter[tuple[int, ...]] = Counter()
+        for loads, ways in states.items():
+            for v in range(k - s + 1):
+                if loads[v]:
+                    nxt = list(loads)
+                    nxt[v], nxt[v + s] = nxt[v] - 1, nxt[v + s] + 1
+                    placed[tuple(nxt)] += ways * loads[v]
+        states = placed
+    fill = math.factorial(k * l - fixed)
+    labelled = sum(
+        ways * fill // math.prod(math.factorial(k - v) ** c for v, c in enumerate(loads))
+        for loads, ways in states.items()
+    )
+    total, rem = divmod(labelled, math.factorial(l))
+    if rem:
+        raise IntegrityError("the labelled extension count is not a multiple of l!")
     return total
 
 

@@ -79,8 +79,11 @@ def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
     """The family of the given construction plus its exact size.
 
     Sizes match the closed forms: bell -> B_(n-t); blocks -> S(n-t, l-t);
-    partial over uniform (k,l) -> C(kl-t, k-t) * u(k, l-1).
+    partial over uniform (k,l) -> C(kl-t, k-t) * u(k, l-1).  Only the
+    partial setting takes an anchor set T.
     """
+    if spec.t_set is not None and spec.setting != "partial":
+        raise DomainError(f"the {spec.setting} setting takes no anchor T-set")
     if spec.setting == "partial":
         profile = spec.profile
         if profile is None:

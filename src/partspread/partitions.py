@@ -196,6 +196,20 @@ def u_count(k: int, l: int) -> int:
     return count_profiled(Profile.uniform(k, l))
 
 
+def count_derangements(p: Partition) -> int:
+    """Partitions of [n] sharing no block with p, by inclusion-exclusion.
+
+    The partitions holding a set S of p's blocks are those of the other
+    n - |union S| elements, so the count sums (-1)^|S| B(n - |union S|).  One
+    subset-sum pass over the blocks gives the signed count of the S covering j.
+    """
+    signed = [1] + [0] * p.n
+    for size in map(len, p.blocks):
+        for j in range(p.n - size, -1, -1):
+            signed[j + size] -= signed[j]
+    return sum(c * bell(p.n - j) for j, c in enumerate(signed))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -313,18 +327,6 @@ def enumerate_profiled(p: Profile) -> list[Partition]:
 def enumerate_uniform(k: int, l: int) -> list[Partition]:
     """All partitions of [k*l] into l blocks of size k."""
     return enumerate_profiled(Profile.uniform(k, l))
-
-
-def count_derangements(p: Partition) -> int:
-    """Partitions of [n] sharing no block with p, counted by enumeration.
-
-    Walks the canonical block tuples of every partition of [n] (guarded by
-    ``enum_max_n``) and counts those disjoint from p's blocks; no Partition
-    is built.  Equals the inclusion-exclusion sum over sets S of p's blocks
-    of (-1)^|S| B(n - |union S|).
-    """
-    own = set(p.blocks)
-    return sum(1 for blocks in _canonical_blocks(p.n, 0, p.n) if own.isdisjoint(blocks))
 
 
 # ---------------------------------------------------------------------------

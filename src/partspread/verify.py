@@ -108,8 +108,8 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
     The gate n >= 1 + 2 l log2(n) is decided exactly as 2^(n-1) >= n^(2l);
     points failing the gate are reported as gated and excluded.
     """
-    if l_max < 2:
-        raise DomainError("check_stirling_growth needs l_max >= 2")
+    if l_max < 2 or n_cap < l_max:
+        raise DomainError("check_stirling_growth needs 2 <= l_max <= n_cap")
     rep = CheckReport("stirling-growth", {"l_max": l_max, "n_cap": n_cap})
     for l in range(2, l_max + 1):
         for n in range(l, n_cap + 1):
@@ -269,6 +269,8 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
     l = len(sizes)
     if not 1 <= t < l:
         raise DomainError("profiled setting needs 1 <= t < l")
+    if s_max is not None and s_max < 1:
+        raise DomainError("profiled setting needs s_max >= 1")
     rep = CheckReport(
         "encoded-spreadness-profiled",
         {"l": l, "t": t, "mode": mode, "profile": "uniform" if len(set(sizes)) == 1 else "mixed"},
@@ -397,8 +399,11 @@ def check_random_containment(
     order-independent; membership draws compare integers, making the
     inclusion probability exactly m*delta.  The verdict compares the
     estimate minus three binomial standard errors against the bound, all in
-    exact rationals; a nonpositive bound is reported as vacuous.
+    exact rationals; a nonpositive bound is reported as vacuous.  The seed
+    must fit a signed 64-bit integer, the range numpy keys one-to-one.
     """
+    if not -(2**63) <= seed < 2**63:
+        raise DomainError(f"seed {seed} is outside [-2^63, 2^63)")
     # numpy is imported here alone: no other code path needs it, and it
     # would dominate the import time of every other command
     import numpy as np

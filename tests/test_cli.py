@@ -12,7 +12,7 @@ from partspread.cli import load_family, load_subfamily, main
 from partspread.encoding import encode_edges, encode_family_edges, encode_parts
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
-from partspread.partitions import Profile, enumerate_into_blocks, enumerate_uniform
+from partspread.partitions import Profile, enumerate_into_blocks, enumerate_uniform, tilde_bell
 from partspread.setfam import family_to_text
 from partspread.spread import candidate_counts
 
@@ -284,7 +284,6 @@ def test_missing_flag_is_usage_error(capsys, argv, flag):
     [
         "enumerate blocks --n 14 --l 3",
         "enumerate partitions --n 14",
-        "count derangements --partition 1,2,3|4,5|6|7,8,9,10|11,12,13,14",
     ],
 )
 def test_enumeration_guard_refusal(capsys, argv):
@@ -294,13 +293,24 @@ def test_enumeration_guard_refusal(capsys, argv):
     assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the guard 13\n"
 
 
-def test_kl_edges_formula_counts_under_the_enumeration_guard(capsys):
-    # the groupings of a 9-pair shape are the partitions of 9 block indices
-    argv = "verify spreadness --setting kl-edges --k 2 --l 10 --mode formula --guard-enum 8"
-    assert main(argv.split()) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ENUM_MAX_N: n=9 exceeds the guard 8\n"
+@pytest.mark.parametrize("guard", [[], ["--guard-enum", "1"]])
+def test_count_derangements_walks_no_partition(capsys, guard):
+    # an inclusion-exclusion sum: no enumeration, so no enumeration guard
+    singletons = "|".join(map(str, range(1, 15)))
+    argv = ["count", "derangements", "--partition", singletons, "--format", "structured-records"]
+    code, out = run_cli(capsys, *argv, *guard)
+    assert code == 0
+    assert out.split("\t")[2] == str(tilde_bell(14))
+
+
+def test_kl_edges_formula_counts_ignore_the_enumeration_guard(capsys):
+    # count_extensions is a DP over part loads, so no enumeration runs
+    argv = "verify spreadness --setting kl-edges --k 2 --l 10 --mode formula".split()
+    for fmt in ([], ["--format", "structured-records"]):
+        free = main(argv + fmt), capsys.readouterr()
+        guarded = main(argv + fmt + ["--guard-enum", "1"]), capsys.readouterr()
+        assert free == guarded
+        assert free[0] == 0 and free[1].out and free[1].err == ""
 
 
 def test_kl_edges_direct_scan_refused_before_enumerating(capsys, monkeypatch):
@@ -407,6 +417,14 @@ def test_enumerate_list_output_pinned(capsys, argv, digest):
         "count bell --n 5 --out {dir}",
         "approximate --family bell:3 --r 2 --q 2 --r0 3 --t 0",
         "approximate --family bell:3 --r 2 --q 2 --r0 3 --t -3",
+        # numpy keys a Philox stream faithfully only for -2^63 <= seed < 2^63
+        "verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 --seed 18446744073709551616",
+        "verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 --seed 9223372036854775809",
+        "verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 --seed 18446744073709551615",
+        "extremal canonical --setting bell --n 3 --t-set 1,2",
+        "extremal canonical --setting partial --profile 2,2,2 --t 1 --t-set 1,3",
+        "verify spreadness --setting profiled --profile 2,2,2,2 --t 1 --s-max 0 --mode formula",
+        "verify stirling-growth --l-max 2 --n-cap 1",
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):

@@ -19,10 +19,12 @@ from partspread.partitions import (
     Partition,
     enumerate_partitions,
     enumerate_uniform,
+    iter_partitions,
     partially_t_intersect,
     u_count,
 )
 from partspread.setfam import EdgesUniverse, ElementSet, PartsUniverse
+from partspread.verify import _subpartition_shapes
 
 
 def test_encode_parts_sizes():
@@ -148,6 +150,38 @@ def combinations_with_replacement_desc(k, a):
         tuple(sorted(c, reverse=True))
         for c in combinations_with_replacement(range(2, k + 1), a)
     ]
+
+
+def _grouping_sum(k, l, sizes):
+    """The extension count as a sum over the groupings of the blocks into parts.
+
+    A grouping is a partition of the block indices with every group total at
+    most k; with g groups it contributes the multinomial
+    (kl - sum sizes)! / ((l - g)! k!^(l - g) prod_groups (k - total)!).
+    """
+    free = math.factorial(k * l - sum(sizes))
+    total = 0
+    for grouping in iter_partitions(len(sizes)):
+        totals = [sum(sizes[i - 1] for i in g) for g in grouping.blocks]
+        g = len(totals)
+        if g > l or max(totals, default=0) > k:
+            continue
+        denom = math.factorial(l - g) * math.factorial(k) ** (l - g)
+        denom *= math.prod(math.factorial(k - s) for s in totals)
+        assert free % denom == 0
+        total += free // denom
+    return total
+
+
+def test_count_extensions_against_the_grouping_sum():
+    cases = 0
+    for k in range(2, 6):
+        for l in range(1, 16 // k + 1):
+            for shape in _subpartition_shapes(k, l):
+                for sizes in (shape, shape[::-1]):
+                    assert count_extensions(k, l, sizes) == _grouping_sum(k, l, sizes), sizes
+                    cases += 1
+    assert cases == 406
 
 
 def test_count_extensions_examples():
