@@ -363,7 +363,7 @@ def _run_extremal(args) -> list[Record]:
         fam, size = canonical_family(spec)
         return [
             Record.make(
-                "canonical", {"setting": args.setting, "t": args.t}, size, "-", "-", INFO
+                "canonical", {"setting": args.setting, "t": spec.t}, size, "-", "-", INFO
             )
         ]
     if args.what == "catalog":

@@ -2,8 +2,8 @@
 
 The oracle builds the compatibility graph of an enumerated partition family
 under a pairwise predicate (sharing t blocks, or having blocks that meet in
-t elements) and finds an exact maximum clique by branch and bound with a
-greedy-coloring upper bound.  Canonical families are the conjectured-extremal
+t elements) from an index of shared blocks, and finds an exact maximum
+clique by branch and bound with a greedy-coloring upper bound.  Canonical families are the conjectured-extremal
 constructions; their sizes have closed forms that the generated families are
 checked against.
 """
@@ -31,6 +31,7 @@ from .partitions import (
     u_count,
 )
 from .report import FAIL, INFO, PASS, SKIPPED, Record
+from .setfam import mask_indices
 
 
 # ---------------------------------------------------------------------------
@@ -153,45 +154,44 @@ class OracleResult:
     all_maximum: Optional[list[tuple[int, ...]]] = None  # vertex index tuples
 
 
-def _greedy_color_order(cand: int, adj: list[int]) -> list[tuple[int, int]]:
-    """(vertex, color) pairs, colors >= 1, in nondecreasing color order."""
-    order: list[tuple[int, int]] = []
-    color = 0
-    rest = cand
-    while rest:
-        color += 1
-        avail = rest
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= ~(low | adj[v])
-            rest &= ~low
-            order.append((v, color))
-    return order
-
-
 def _max_clique_masks(
     adj: list[int], n: int, cap: Optional[int] = None
 ) -> tuple[list[int], int, Optional[list[tuple[int, ...]]]]:
     """Exact maximum clique over adjacency bitmasks: (vertices, nodes, maxima).
 
-    Without a cap a branch is pruned when its coloring bound cannot beat the
-    best size, and maxima is None.  With a cap, branches whose bound ties the
-    best size are searched too, so the same pass collects every clique of the
-    best size (sorted vertex tuples); a strictly larger clique restarts the
-    list.  More than cap ties set it to None, and the search prunes as
-    without a cap until the next improvement; every clique of a larger size
-    is found after the first one, so a final list that is not None holds
-    every maximum clique.  The witness is the same with or without a cap.
+    Each node colors its candidates greedily: color classes are independent
+    sets, each taken lowest vertex first, and the vertices are branched on
+    in reverse coloring order.  Without a cap a branch is pruned when its
+    coloring bound cannot beat the best size, and maxima is None.  With a
+    cap, branches whose bound ties the best size are searched too, so the
+    same pass collects every clique of the best size (sorted vertex tuples);
+    a strictly larger clique restarts the list.  More than cap ties set it
+    to None, and the search prunes as without a cap until the next
+    improvement; every clique of a larger size is found after the first
+    one, so a final list that is not None holds every maximum clique.  The
+    witness is the same with or without a cap.
     """
     best: list[int] = []
     nodes = 0
     ties = [()] if cap else None  # the empty clique is the maximum of no vertices
+    # keep[v] clears v and its neighbours from a color class being built
+    keep = [~(row | 1 << v) for v, row in enumerate(adj)]
 
     def expand(cand: int, current: list[int]) -> None:
         nonlocal best, nodes, ties
         nodes += 1
-        order = _greedy_color_order(cand, adj)
+        order: list[tuple[int, int]] = []  # (vertex, color), colors nondecreasing
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= keep[v]
+                rest ^= low
+                order.append((v, color))
         for v, color in reversed(order):
             # while collecting, a bound that ties the best size still branches
             if len(current) + color < len(best) + (ties is None):
@@ -208,7 +208,7 @@ def _max_clique_masks(
             if ties is not None and len(ties) > cap:
                 ties = None
             current.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v
 
     if n:
         expand((1 << n) - 1, [])
@@ -220,6 +220,60 @@ PREDICATES: dict[str, Callable[[Partition, Partition, int], bool]] = {
     "partially-t-intersect": partially_t_intersect,
 }
 
+# the least t each predicate accepts
+_LEAST_T = {"t-intersect": 0, "partially-t-intersect": 1}
+
+
+def _holders(features: Sequence[Sequence]) -> dict:
+    """Feature index: each feature -> bitmask of the items that list it."""
+    index: dict = {}
+    for i, fs in enumerate(features):
+        bit = 1 << i
+        for f in fs:
+            index[f] = index.get(f, 0) | bit
+    return index
+
+
+def _in_at_least(masks: Sequence[int], need: int) -> int:
+    """Bitmask of the items set in at least `need` >= 1 of the masks.
+
+    A bit-sliced counter: seen[j] holds the items met in more than j masks.
+    """
+    if need > len(masks):
+        return 0
+    seen = [0] * need
+    for m in masks:
+        for j in range(need - 1, 0, -1):
+            seen[j] |= seen[j - 1] & m
+        seen[0] |= m
+    return seen[-1]
+
+
+def _adjacency(universe: Sequence[Partition], predicate: str, t: int) -> list[int]:
+    """Rows of the compatibility graph, built from a shared-feature index.
+
+    t-intersect: a row holds the partitions sharing at least t blocks; for
+    t <= 0 the graph is complete.  partially-t-intersect: each distinct
+    block is first matched with the distinct blocks it meets in at least t
+    elements (its elements are the features), and a row is the union of
+    the holders of the blocks matched by the partition's blocks.
+    """
+    n = len(universe)
+    if predicate == "t-intersect" and t <= 0:
+        return [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    holders = _holders([p.blocks for p in universe])
+    if predicate == "t-intersect":
+        rows = [_in_at_least([holders[b] for b in p.blocks], t) for p in universe]
+    else:
+        blocks = list(holders)
+        elements = _holders(blocks)
+        reach = {}  # block -> the partitions holding a block it meets in >= t elements
+        for b in blocks:
+            met = _in_at_least([elements[e] for e in b], t)
+            reach[b] = _in_at_least([holders[blocks[j]] for j in mask_indices(met)], 1)
+        rows = [_in_at_least([reach[b] for b in p.blocks], 1) for p in universe]
+    return [row & ~(1 << v) for v, row in enumerate(rows)]
+
 
 def max_compatible_family(
     universe: Sequence[Partition],
@@ -230,15 +284,13 @@ def max_compatible_family(
     """Exact largest pairwise-compatible subfamily of the enumerated universe."""
     if predicate not in PREDICATES:
         raise DomainError(f"unknown predicate {predicate!r}")
+    if t < _LEAST_T[predicate]:
+        raise DomainError(f"{predicate.replace('-', '_')} needs t >= {_LEAST_T[predicate]}")
+    if len({p.n for p in universe}) > 1:
+        raise DomainError("partitions over different ground sets")
     n = len(universe)
     guards.require("clique_vertex_max", n, "vertices")
-    pred = PREDICATES[predicate]
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pred(universe[i], universe[j], t):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _adjacency(universe, predicate, t)
     cap = guards.current().clique_unique_max if enumerate_all else None
     vertices, nodes, all_max = _max_clique_masks(adj, n, cap)
     witness = [universe[i] for i in vertices]

@@ -106,7 +106,8 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
     """S(n, l) >= n^2 S(n-1, l-1) on every gated point with 2 <= l <= l_max.
 
     The gate n >= 1 + 2 l log2(n) is decided exactly as 2^(n-1) >= n^(2l);
-    points failing the gate are reported as gated and excluded.
+    points failing the gate are reported as gated and excluded.  When every
+    point is gated, no inequality is checked and the report is vacuous.
     """
     if l_max < 2 or n_cap < l_max:
         raise DomainError("check_stirling_growth needs 2 <= l_max <= n_cap")
@@ -117,7 +118,11 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
                 rep.compare({"l": l, "n": n}, stirling2(n, l), n * n * stirling2(n - 1, l - 1))
             else:
                 rep.add({"l": l, "n": n}, "-", "-", "-", "gated")
-    return rep.finalize()
+    rep.finalize()
+    if all(r.verdict == "gated" for r in rep.points):
+        rep.verdict = VACUOUS
+        rep.notes.append("every point fails the gate: no inequality was checked")
+    return rep
 
 
 # ---------------------------------------------------------------------------

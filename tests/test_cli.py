@@ -425,6 +425,10 @@ def test_enumerate_list_output_pinned(capsys, argv, digest):
         "extremal canonical --setting partial --profile 2,2,2 --t 1 --t-set 1,3",
         "verify spreadness --setting profiled --profile 2,2,2,2 --t 1 --s-max 0 --mode formula",
         "verify stirling-growth --l-max 2 --n-cap 1",
+        # t is checked before the graph, also where it has no pair to test
+        "extremal oracle --setting bell --n 1 --predicate partially-t-intersect --t 0",
+        "extremal oracle --setting bell --n 2 --predicate partially-t-intersect --t 0",
+        "extremal oracle --setting bell --n 1 --predicate t-intersect --t -1",
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
@@ -436,19 +440,22 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, size",
+    "argv, params, size",
     [
-        ("extremal canonical --setting bell --n 5 --t 0", "52"),
-        ("extremal canonical --setting blocks --n 6 --l 3 --t 0", "90"),
-        ("extremal canonical --setting profiled --profile 1,2,2 --t 0", "15"),
-        ("extremal canonical --setting partial --profile 2,2,2 --t-set 1,3", "3"),
+        ("extremal canonical --setting bell --n 5 --t 0", "setting=bell,t=0", "52"),
+        ("extremal canonical --setting blocks --n 6 --l 3 --t 0", "setting=blocks,t=0", "90"),
+        ("extremal canonical --setting profiled --profile 1,2,2 --t 0",
+         "setting=profiled,t=0", "15"),
+        ("extremal canonical --setting partial --profile 2,2,2 --t-set 1,3",
+         "setting=partial,t=2", "3"),
     ],
 )
-def test_canonical_explicit_flags(capsys, argv, size):
-    # an explicit --t 0 is the whole universe; --t-set stands in for --t
+def test_canonical_explicit_flags(capsys, argv, params, size):
+    # an explicit --t 0 is the whole universe; --t-set stands in for --t,
+    # and the record's t is then |T|
     code, out = run_cli(capsys, *argv.split(), "--format", "structured-records")
     assert code == 0
-    assert out.split("\t")[2] == size
+    assert out.split("\t")[1:3] == [params, size]
 
 
 def test_stirling2_large_arguments(capsys):

@@ -204,6 +204,29 @@ def test_oracle_guard():
         max_compatible_family(enumerate_uniform(2, 2), "nonsense", 2)
 
 
+def test_oracle_validates_before_building():
+    # the predicates' own messages, also for universes with no pair to test
+    for n in (1, 2):
+        with pytest.raises(DomainError, match="partially_t_intersect needs t >= 1"):
+            max_compatible_family(enumerate_partitions(n), "partially-t-intersect", 0)
+        with pytest.raises(DomainError, match="t_intersect needs t >= 0"):
+            max_compatible_family(enumerate_partitions(n), "t-intersect", -1)
+    mixed = enumerate_partitions(2) + enumerate_partitions(3)
+    for predicate in ("t-intersect", "partially-t-intersect"):
+        with pytest.raises(DomainError, match="different ground sets"):
+            max_compatible_family(mixed, predicate, 1)
+
+
+def test_oracle_large_blocks_and_t():
+    # the graph is built from blocks and elements, never from t-subsets:
+    # C(29, 14) is about 7.8e7
+    res = max_compatible_family(enumerate_profiled(Profile((1, 29))), "partially-t-intersect", 14)
+    assert res.max_size == 30
+    for predicate in ("t-intersect", "partially-t-intersect"):
+        res = max_compatible_family(enumerate_partitions(4), predicate, 10**12)
+        assert (res.max_size, res.nodes) == (1, 1)
+
+
 def test_conjecture_instances_small():
     recs = check_conjecture_instance(2, 3, 2)
     (conj,) = select(recs, "conjecture")
@@ -255,19 +278,36 @@ def test_closed_form_mismatch_is_integrity_error(monkeypatch, capsys):
     assert err.startswith("error: canonical family size") and "Traceback" not in err
 
 
+BLOCKS_7_5_WITNESS = [
+    30, 32, 33, 35, 36, 37, 39, 40, 41, 42, 56, 57, 59, 60, 61, 63, 64, 65, 66, 68, 69, 71,
+    72, 73, 75, 76, 77, 78, 89, 90, 91, 93, 94, 95, 96, 98, 99, 100, 102, 103, 104, 105,
+    107, 108, 109, 111, 112, 113, 114, 121, 122, 123, 124, 126, 127, 128, 129, 131, 132,
+    133, 134, 136, 137, 138, 139,
+]
+BELL_7_WITNESS = [
+    703, 704, 707, 708, 709, 722, 723, 724, 727, 728, 729, 732, 733, 734, 735, 800, 801,
+    802, 805, 806, 807, 810, 811, 812, 813, 826, 827, 828, 831, 832, 833, 836, 837, 838,
+    839, 854, 855, 856, 857, 860, 861, 862, 863, 866, 867, 868, 869, 872, 873, 874, 875, 876,
+]
+
+
 @pytest.mark.parametrize(
-    "universe, predicate, t, size, nodes",
+    "universe, predicate, t, size, nodes, witness",
     [
-        (lambda: enumerate_uniform(2, 5), "partially-t-intersect", 2, 105, 1154),
-        (lambda: enumerate_into_blocks(7, 5), "t-intersect", 1, 65, 6493),
-        (lambda: enumerate_partitions(7), "t-intersect", 2, 52, 17163),
+        (lambda: enumerate_uniform(2, 5), "partially-t-intersect", 2, 105, 1154,
+         list(range(840, 945))),
+        (lambda: enumerate_into_blocks(7, 5), "t-intersect", 1, 65, 6493, BLOCKS_7_5_WITNESS),
+        (lambda: enumerate_partitions(7), "t-intersect", 2, 52, 17163, BELL_7_WITNESS),
     ],
     ids=["uniform-2-5", "blocks-7-5", "bell-7"],
 )
-def test_oracle_nodes_pinned(universe, predicate, t, size, nodes):
-    # the plain search (no uniqueness cap) visits exactly these nodes
-    res = max_compatible_family(universe(), predicate, t)
+def test_oracle_nodes_pinned(universe, predicate, t, size, nodes, witness):
+    # the plain search (no uniqueness cap) visits exactly these nodes and
+    # ends on this witness (vertex indices into the enumeration order)
+    members = universe()
+    res = max_compatible_family(members, predicate, t)
     assert (res.max_size, res.nodes, res.all_maximum) == (size, nodes, None)
+    assert [members.index(p) for p in res.witness] == witness
 
 
 def test_uniqueness_cap_boundary():

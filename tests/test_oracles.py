@@ -14,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import family_of
 from partspread.exact import ExactPow
-from partspread.extremal import _max_clique_masks
+from partspread.extremal import PREDICATES, _adjacency, _max_clique_masks
+from partspread.partitions import (
+    Profile,
+    enumerate_into_blocks,
+    enumerate_partitions,
+    enumerate_profiled,
+    enumerate_uniform,
+)
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, covering_number
 from partspread.spread import (
     find_sunflower,
@@ -240,6 +247,58 @@ def test_capped_search_matches_plain_search(graph, cap):
     # None exactly when the maxima outnumber the cap, even after smaller
     # sizes overflowed it earlier in the search
     assert capped[2] == (every if len(every) <= cap else None)
+
+
+def _pairwise_adjacency(universe, predicate, t):
+    """The compatibility graph from one predicate call per pair."""
+    pred = PREDICATES[predicate]
+    adj = [0] * len(universe)
+    for i, j in combinations(range(len(universe)), 2):
+        if pred(universe[i], universe[j], t):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _kernel_cases():
+    """(universe, ground set size) pairs small enough to test pairwise."""
+    cases = [(enumerate_partitions(n), n) for n in range(7)]
+    cases += [(enumerate_into_blocks(n, l), n) for n in range(1, 6) for l in range(1, n + 1)]
+    cases += [(enumerate_uniform(k, l), k * l) for k, l in ((2, 1), (2, 2), (2, 3), (2, 4))]
+    cases += [(enumerate_uniform(3, 2), 6), (enumerate_uniform(3, 3), 9)]
+    cases += [(enumerate_profiled(Profile(s)), sum(s)) for s in ((1, 2, 3), (1, 1, 2, 2))]
+    return cases
+
+
+def test_adjacency_kernel_against_pairwise_predicates():
+    # t runs from the least accepted value to one above the largest block
+    # (and block count), so the complete and the empty graph both occur
+    for universe, n in _kernel_cases():
+        for predicate, least in (("t-intersect", 0), ("partially-t-intersect", 1)):
+            for t in range(least, n + 2):
+                got = _adjacency(universe, predicate, t)
+                assert got == _pairwise_adjacency(universe, predicate, t), (n, predicate, t)
+    full = enumerate_partitions(4)
+    complete = [(1 << 15) - 1 - (1 << v) for v in range(15)]
+    assert _adjacency(full, "t-intersect", 0) == complete
+    assert _adjacency(full, "partially-t-intersect", 1) == complete
+    assert _adjacency(full, "t-intersect", 5) == [0] * 15
+    assert _adjacency(full, "partially-t-intersect", 5) == [0] * 15
+
+
+B6 = enumerate_partitions(6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, len(B6) - 1), unique=True, max_size=40),
+    st.sampled_from(sorted(PREDICATES)),
+    st.integers(0, 7),
+)
+def test_adjacency_kernel_on_random_sub_universes(picks, predicate, t):
+    universe = [B6[i] for i in picks]
+    t = max(t, 1) if predicate == "partially-t-intersect" else t
+    assert _adjacency(universe, predicate, t) == _pairwise_adjacency(universe, predicate, t)
 
 
 def test_exactpow_total_order_against_mpmath():

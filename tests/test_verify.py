@@ -95,6 +95,17 @@ def test_stirling_growth_examples():
     assert rep.verdict == "pass"
 
 
+def test_stirling_growth_all_gated_is_vacuous():
+    # 2^(n-1) >= n^4, the gate at l = 2, first holds at n = 18
+    for l_max, n_cap in ((2, 2), (2, 17), (3, 3)):
+        rep = check_stirling_growth(l_max, n_cap)
+        assert {p.verdict for p in rep.points} == {"gated"}
+        assert rep.verdict == "vacuous"
+        assert rep.notes == ["every point fails the gate: no inequality was checked"]
+    rep = check_stirling_growth(2, 18)
+    assert rep.verdict == "pass" and rep.notes == []
+
+
 def test_stirling_growth_sweep_l3():
     rep = check_stirling_growth(3, 60)
     assert rep.verdict == "pass"
