@@ -11,8 +11,8 @@ checked against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import guards
@@ -357,8 +357,9 @@ def check_conjecture_instance(k: int, l: int, t: int) -> list[Record]:
         )
     ]
     if result.all_maximum is not None and equal:
-        canon_keys = _canonical_witness_keys(k, l, t, universe)
-        unique = all(frozenset(w) in canon_keys for w in result.all_maximum)
+        unique = all(
+            _meet_has_block_of(t, [universe[i] for i in w]) for w in result.all_maximum
+        )
         params["maximum_cliques"] = len(result.all_maximum)
         margin, verdict = "-", PASS if unique else FAIL
     else:
@@ -367,15 +368,20 @@ def check_conjecture_instance(k: int, l: int, t: int) -> list[Record]:
     return recs
 
 
-def _canonical_witness_keys(
-    k: int, l: int, t: int, universe: Sequence[Partition]
-) -> set[frozenset[int]]:
-    """Vertex-index sets of every canonical family C^T inside the universe."""
-    keys = set()
-    for t_set in combinations(range(1, k * l + 1), t):
-        tf = frozenset(t_set)
-        keys.add(frozenset(i for i, p in enumerate(universe) if has_block_containing(p, tf)))
-    return keys
+def _meet_has_block_of(t: int, fam: Sequence[Partition]) -> bool:
+    """Some block of the meet (common refinement) of fam has at least t elements.
+
+    Each element is labelled by its block index in every member; the blocks of
+    the meet are the label classes.  A clique of size |C^T| is then a
+    canonical family: its members all hold a t-set T of such a block in one
+    block, so it lies in C^T and, having its size, equals it.
+    """
+    labels: dict[int, tuple[int, ...]] = {e: () for e in range(1, fam[0].n + 1)}
+    for p in fam:
+        for i, b in enumerate(p.blocks):
+            for e in b:
+                labels[e] += (i,)
+    return max(Counter(labels.values()).values()) >= t
 
 
 def _assert_clique(fam: Sequence[Partition], predicate: str, t: int) -> None:

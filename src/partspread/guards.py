@@ -22,8 +22,9 @@ class Limits:
     enum_max_n: int = 13
     # enumerate_profiled: largest family we materialize.
     profiled_enum_max: int = 10**7
-    # every spreadness scan (spread_factor, weak_spread, is_r_spread and the
-    # reduction/dominance checks): total candidate restriction sets counted.
+    # every spreadness scan (spread_factor, weak_spread, is_r_spread,
+    # find_spread_subfamily and the reduction/dominance checks): candidate
+    # restriction sets, the sum of 2^|A| over members A.
     spread_candidate_max: int = 10**7
     # find_sunflower: family size cap.
     sunflower_family_max: int = 10**5

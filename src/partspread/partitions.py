@@ -68,9 +68,6 @@ class Partition:
             )
         return self._block_masks
 
-    def has_singleton(self) -> bool:
-        return any(len(b) == 1 for b in self.blocks)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Partition)
@@ -212,32 +209,6 @@ def count_derangements(p: Partition) -> int:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def iter_rgs(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order.
-
-    The tests' independent reference for `_canonical_blocks`; nothing in
-    the package enumerates through it.  Yields an internal buffer that is
-    mutated in place; copy before storing.
-    """
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-    b = [1] * n  # b[i] = 1 + max(a[:i]) for i >= 1
-    while True:
-        yield a
-        j = n - 1
-        while j > 0 and a[j] >= b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        nb = b[j] + 1 if a[j] == b[j] else b[j]
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = nb
 
 
 def _canonical_blocks(

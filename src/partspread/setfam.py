@@ -211,9 +211,6 @@ class SetFamily:
         for m in self.masks:
             yield ElementSet(self.universe, m)
 
-    def element_set(self, indices: Iterable[int]) -> ElementSet:
-        return ElementSet.from_indices(self.universe, indices)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SetFamily)

@@ -60,22 +60,86 @@ def _least_ratio(
     return best, best_mask
 
 
-def _violator(
-    f: SetFamily, counts: dict[int, int], r: Fraction, largest: bool
-) -> Optional[int]:
-    """Least mask X with |F(X)| r^|X| > |F| at the smallest (or largest) such size."""
+def _violator(f: SetFamily, r: Fraction, largest: bool) -> Optional[int]:
+    """Least mask X with |F(X)| r^|X| > |F| at the smallest (or largest) such size.
+
+    With r = p/q, a set X of size s violates exactly when |F(X)| exceeds
+    floor[s] = |F| q^s // p^s.  For r <= 1 nothing violates.  For r > 1 floor
+    does not rise with s, so the sizes with floor[s] > 0 are 1..deep; above
+    deep every s-subset of a member violates, and the least one of a member
+    is its s lowest bits.  Sizes 1..deep are searched by `_counted_violators`.
+    Refused by the spread_candidate_max guard on the candidate count (the sum
+    of 2^|A| over members A) before any work.
+    """
+    total = sum(2 ** m.bit_count() for m in f.masks)
+    guards.require("spread_candidate_max", total, "candidate sets")
     p, q = r.numerator, r.denominator
-    sizes = [
-        s for s, (cnt, _) in level_summary(counts).items()
-        if cnt * p**s > f.size * q**s
-    ]
-    if not sizes:
+    top = f.max_size()
+    if p <= q or top == 0:
         return None
-    s = max(sizes) if largest else min(sizes)
-    lhs_scale, rhs = p**s, f.size * q**s
-    return min(
-        m for m, cnt in counts.items() if m.bit_count() == s and cnt * lhs_scale > rhs
-    )
+    floor = [f.size * q**s // p**s for s in range(top + 1)]
+    deep = 0
+    while deep < top and floor[deep + 1]:
+        deep += 1
+    if largest and deep < top:
+        return min(m for m in f.masks if m.bit_count() == top)
+    least = _counted_violators(f, floor, deep, largest)
+    if least:
+        return least[max(least) if largest else min(least)]
+    if deep < top:
+        return min(
+            sum(1 << e for e in mask_indices(m)[: deep + 1])
+            for m in f.masks
+            if m.bit_count() > deep
+        )
+    return None
+
+
+def _counted_violators(
+    f: SetFamily, floor: list[int], deep: int, largest: bool
+) -> dict[int, int]:
+    """Map sizes s in 1..deep to their least X with |F(X)| > floor[s], if any.
+
+    A depth-first search adds elements in increasing index order.  Each
+    element carries the bitmask of the members containing it, so |F(X)| of a
+    set grown by one element is one AND and one bit count.  A set is grown
+    only while more than floor[deep] members contain it: |F(X)| only falls as
+    X grows and floor[deep] is the least threshold, so nothing pruned can
+    violate.  Unless largest, no set grows past the least violating size
+    found so far.
+    """
+    holders: dict[int, int] = {}
+    for i, m in enumerate(f.masks):
+        for e in mask_indices(m):
+            holders[e] = holders.get(e, 0) | 1 << i
+    keep = floor[deep]
+    least: dict[int, int] = {}
+    stop = deep
+
+    def grow(x: int, s: int, ext: list[tuple[int, int, int]]) -> None:
+        nonlocal stop
+        for j, (bit, held, cnt) in enumerate(ext, 1):
+            y = x | bit
+            if cnt > floor[s] and y < least.get(s, y + 1):
+                least[s] = y
+                if not largest:
+                    stop = s
+            if s < stop:
+                sub = []
+                for bit2, held2, _ in ext[j:]:
+                    both = held & held2
+                    c = both.bit_count()
+                    if c > keep:
+                        sub.append((bit2, both, c))
+                if sub:
+                    grow(y, s + 1, sub)
+
+    grow(0, 1, [
+        (1 << e, held, held.bit_count())
+        for e, held in sorted(holders.items())
+        if held.bit_count() > keep
+    ])
+    return least
 
 
 @dataclass
@@ -111,14 +175,18 @@ def spread_factor(f: SetFamily) -> SpreadReport:
 def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
     """Exact test of |F(X)| * r^|X| <= |F| for all X; returns a violator if any.
 
-    The violator is the least mask of the smallest violating size.
+    The violator is the least mask of the smallest violating size.  With
+    r = p/q, a set X of size s violates exactly when |F(X)| > |F| q^s // p^s;
+    only sets contained in more members than the least such threshold are
+    searched, which is exact because |F(X)| only falls as X grows.  Refused
+    above spread_candidate_max on the candidate count before any work.
     """
     if f.size == 0:
         raise DomainError("spreadness of an empty family")
     r = as_fraction(r)
     if r <= 0:
         raise DomainError("is_r_spread needs r > 0")
-    mask = _violator(f, candidate_counts(f), r, largest=False)
+    mask = _violator(f, r, largest=False)
     if mask is None:
         return True, None
     return False, ElementSet(f.universe, mask)
@@ -207,7 +275,7 @@ def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
         raise PreconditionError(
             f"|F| = {f.size} does not exceed alpha^k = {alpha}**{k}"
         )
-    best_mask = _violator(f, candidate_counts(f), alpha, largest=True)
+    best_mask = _violator(f, alpha, largest=True)
     if best_mask is None:
         return ElementSet(f.universe, 0), f
     x = ElementSet(f.universe, best_mask)

@@ -118,10 +118,16 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
                 rep.compare({"l": l, "n": n}, stirling2(n, l), n * n * stirling2(n - 1, l - 1))
             else:
                 rep.add({"l": l, "n": n}, "-", "-", "-", "gated")
-    rep.finalize()
-    if all(r.verdict == "gated" for r in rep.points):
+    return _vacuous_unless_asserted(
+        rep.finalize(), rep.points, "every point fails the gate: no inequality was checked"
+    )
+
+
+def _vacuous_unless_asserted(rep: CheckReport, points, note: str) -> CheckReport:
+    """Mark rep vacuous, with note, when every one of points is info or gated."""
+    if all(p.verdict in (INFO, "gated") for p in points):
         rep.verdict = VACUOUS
-        rep.notes.append("every point fails the gate: no inequality was checked")
+        rep.notes.append(note)
     return rep
 
 
@@ -386,7 +392,9 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
                     Fraction(rhs_x, lhs_x) - 1 if lhs_x else "-",
                     (PASS if lhs_x <= rhs_x else FAIL) if not vacuous else INFO,
                 )
-    return rep.finalize()
+    return _vacuous_unless_asserted(
+        rep.finalize(), rep.points[1:], "every bound point is info: no inequality was checked"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from partspread.setfam import PlainUniverse, SetFamily
+from partspread.setfam import ElementSet, PlainUniverse, SetFamily
 
 
 def ksubsets_family(n: int, k: int) -> SetFamily:
@@ -18,6 +18,16 @@ def ksubsets_family(n: int, k: int) -> SetFamily:
 def family_of(n: int, *index_sets) -> SetFamily:
     u = PlainUniverse(n)
     return SetFamily(u, [sum(1 << i for i in s) for s in index_sets])
+
+
+def element_set(f: SetFamily, indices) -> ElementSet:
+    """The set of the given element indices over f's universe."""
+    return ElementSet.from_indices(f.universe, indices)
+
+
+def has_singleton(p) -> bool:
+    """Some block of the partition p has one element."""
+    return any(len(b) == 1 for b in p.blocks)
 
 
 def select(records, name: str, **params) -> list:

@@ -313,6 +313,15 @@ def test_kl_edges_formula_counts_ignore_the_enumeration_guard(capsys):
         assert free[0] == 0 and free[1].out and free[1].err == ""
 
 
+def test_kl_edges_formula_at_small_l_reports_vacuous(capsys):
+    argv = "verify spreadness --setting kl-edges --k 2 --l 3 --mode formula".split()
+    code, out = run_cli(capsys, *argv, "--format", "structured-records")
+    lines = [line.split("\t") for line in out.splitlines()]
+    assert code == 0
+    assert lines[0][0] == "encoded-spreadness-kl-edges" and lines[0][-1] == "vacuous"
+    assert lines[-1][4:] == ["every bound point is info: no inequality was checked", "info"]
+
+
 def test_kl_edges_direct_scan_refused_before_enumerating(capsys, monkeypatch):
     def unreachable(profile):
         raise AssertionError("enumerated before the candidate guard")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from partspread.extremal import (
     CanonicalSpec,
     canonical_family,
     check_conjecture_instance,
+    has_block_containing,
     max_compatible_family,
     run_catalog,
 )
@@ -321,4 +323,44 @@ def test_uniqueness_cap_boundary():
     with guards.limited(clique_unique_max=28):
         recs = check_conjecture_instance(2, 4, 2)
     (uniq,) = select(recs, "conjecture-uniqueness", maximum_cliques=28)
+    assert uniq.verdict == "pass"
+
+
+def _canonical_witness_keys(k, l, t, universe):
+    """Vertex-index sets of every canonical family C^T inside the universe,
+    one scan of the universe per t-set T: the reference for the meet test."""
+    keys = set()
+    for t_set in combinations(range(1, k * l + 1), t):
+        tf = frozenset(t_set)
+        keys.add(frozenset(i for i, p in enumerate(universe) if has_block_containing(p, tf)))
+    return keys
+
+
+@pytest.mark.parametrize("k, l, t", [(2, 3, 2), (2, 4, 2), (2, 5, 2), (3, 2, 3), (4, 2, 3)])
+def test_meet_test_against_the_canonical_key_walk(k, l, t):
+    universe = enumerate_uniform(k, l)
+    keys = _canonical_witness_keys(k, l, t, universe)
+    (size,) = {len(key) for key in keys}
+    res = max_compatible_family(universe, "partially-t-intersect", t, enumerate_all=True)
+    cliques = [frozenset(w) for w in res.all_maximum]
+    assert res.max_size == size and set(cliques) <= keys
+    # same-size sets that are not canonical: a canonical family with one
+    # member swapped out, and random sets
+    rng = random.Random(f"{k},{l},{t}")
+    everyone = frozenset(range(len(universe)))
+    others = []
+    for key in sorted(keys, key=sorted):
+        out, new = rng.choice(sorted(key)), rng.choice(sorted(everyone - key))
+        others.append(key - {out} | {new})
+    others += [frozenset(rng.sample(sorted(everyone), size)) for _ in range(100)]
+    for w in cliques + others:
+        assert extremal._meet_has_block_of(t, [universe[i] for i in w]) == (w in keys)
+
+
+def test_conjecture_one_partition_with_a_large_t():
+    # one partition of [30]: no walk over the C(30, 15) anchor sets
+    recs = check_conjecture_instance(30, 1, 15)
+    (conj,) = select(recs, "conjecture")
+    assert conj.verdict == "pass" and conj.lhs == conj.rhs == "1"
+    (uniq,) = select(recs, "conjecture-uniqueness", maximum_cliques=1)
     assert uniq.verdict == "pass"

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import has_singleton
 from partspread import guards
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.partitions import (
@@ -15,7 +16,6 @@ from partspread.partitions import (
     enumerate_partitions,
     enumerate_profiled,
     iter_partitions,
-    iter_rgs,
     partially_t_intersect,
     stirling2,
     t_intersect,
@@ -70,7 +70,7 @@ def test_tilde_bell_values_and_enumeration():
     assert tilde_bell(1) == 0
     assert tilde_bell(5) == 11
     for n in range(10):
-        by_filter = sum(1 for p in iter_partitions(n) if not p.has_singleton())
+        by_filter = sum(1 for p in iter_partitions(n) if not has_singleton(p))
         assert tilde_bell(n) == by_filter
 
 
@@ -98,6 +98,31 @@ def test_enumeration_guard():
     with guards.limited(enum_max_n=14):
         it = iter_partitions(14)
         next(it)
+
+
+def iter_rgs(n):
+    """Restricted growth strings of length n in lexicographic order.
+
+    The independent reference for the production enumeration.  Yields an
+    internal buffer that is mutated in place; copy before storing.
+    """
+    if n == 0:
+        yield []
+        return
+    a = [0] * n
+    b = [1] * n  # b[i] = 1 + max(a[:i]) for i >= 1
+    while True:
+        yield a
+        j = n - 1
+        while j > 0 and a[j] >= b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        nb = b[j] + 1 if a[j] == b[j] else b[j]
+        for i in range(j + 1, n):
+            a[i] = 0
+            b[i] = nb
 
 
 def _rgs_blocks(n):

@@ -8,7 +8,7 @@ sequence the way the pieces are meant to compose.
 
 from fractions import Fraction
 
-from conftest import select
+from conftest import element_set, select
 from partspread.approx import (
     check_dominance,
     minimize_t_intersecting,
@@ -51,7 +51,7 @@ def test_star_family_pipeline():
     # one t-set: nothing is claimed, counts reported
     dom_recs = check_dominance(ambient, minimized, 1, Fraction(1, 2))
     (dom,) = select(dom_recs, "dominance", trivial="true")
-    assert int(dom.lhs) == star_count(ambient, minimized.element_set([anchor])) == 52
+    assert int(dom.lhs) == star_count(ambient, element_set(minimized, [anchor])) == 52
 
     levels, recs = reduction_sequence(ambient, minimized, 1, 1)
     assert all(rec.verdict != "fail" for rec in recs)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_of, ksubsets_family
+from conftest import element_set, family_of, ksubsets_family
 from partspread import guards
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.partitions import bell, enumerate_partitions
@@ -50,10 +50,10 @@ def test_restrict():
     f = family_of(4, {0, 1}, {0, 2}, {1, 2})
     empty = ElementSet(f.universe, 0)
     assert restrict(f, empty) == f
-    r = restrict(f, f.element_set([0]))
+    r = restrict(f, element_set(f, [0]))
     assert {tuple(m.indices()) for m in r.members()} == {(1,), (2,)}
     # restrict composes over disjoint sets
-    x, y = f.element_set([0]), f.element_set([1])
+    x, y = element_set(f, [0]), element_set(f, [1])
     assert restrict(restrict(f, x), y) == restrict(f, x.union(y))
 
 
@@ -66,7 +66,7 @@ def test_restrict_encoded_bell(b4_encoded):
 def test_avoid():
     f = family_of(4, {0, 1}, {0, 2}, {1, 2})
     assert avoid(f, ElementSet(f.universe, 0)) == f
-    a = avoid(f, f.element_set([0]))
+    a = avoid(f, element_set(f, [0]))
     assert {tuple(m.indices()) for m in a.members()} == {(1, 2)}
 
 
@@ -79,24 +79,24 @@ def test_avoid_union_bound():
         ]
         f = family_of(n, *members)
         xs = {rnd.randrange(n) for _ in range(rnd.randint(1, 3))}
-        x = f.element_set(xs)
-        lower = f.size - sum(star_count(f, f.element_set([e])) for e in xs)
+        x = element_set(f, xs)
+        lower = f.size - sum(star_count(f, element_set(f, [e])) for e in xs)
         assert avoid(f, x).size >= lower
 
 
 def test_stars():
     f = family_of(4, {0, 1}, {0, 2}, {1, 2})
     assert stars(f, [ElementSet(f.universe, 0)]) == f
-    s1 = stars(f, [f.element_set([0])])
+    s1 = stars(f, [element_set(f, [0])])
     assert {tuple(m.indices()) for m in s1.members()} == {(0, 1), (0, 2)}
-    s2 = stars(f, [f.element_set([0]), f.element_set([1, 2])])
+    s2 = stars(f, [element_set(f, [0]), element_set(f, [1, 2])])
     assert s2.size == 3
 
 
 def test_partition_identity():
     f = family_of(5, {0, 1}, {1, 2}, {3}, {2, 4})
     for e in range(5):
-        x = f.element_set([e])
+        x = element_set(f, [e])
         assert f.size == star_count(f, x) + avoid(f, x).size
 
 
@@ -110,7 +110,7 @@ def test_restrict_counts_match_star_counts():
 
 def test_covering_number_examples():
     f = family_of(3, {0})
-    assert covering_number(f) == (1, f.element_set([0]))
+    assert covering_number(f) == (1, element_set(f, [0]))
     tri = family_of(3, {0, 1}, {1, 2}, {0, 2})
     tau, w = covering_number(tri)
     assert tau == 2 and w.indices() == [0, 1]

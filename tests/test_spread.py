@@ -445,6 +445,57 @@ def test_find_spread_subfamily_matches_reference(members, alpha):
         assert x.mask == expected and sub == restrict(f, x)
 
 
+def ref_violator(f: SetFamily, r, largest: bool):
+    """Least violator at the smallest (or largest) violating size, or None."""
+    found = ref_violators(f, r)
+    if not found:
+        return None
+    size = (max if largest else min)(m.bit_count() for m in found)
+    return min(m for m in found if m.bit_count() == size)
+
+
+# r < 1, r = 1, fractional r > 1, and r > |F| (at most 13 members), where
+# every level has floor |F| q^s // p^s = 0 and no count is needed
+r_kinds_st = st.one_of(
+    st.builds(Fraction, st.integers(1, 5), st.integers(6, 12)),
+    st.just(Fraction(1)),
+    st.builds(lambda p, q: Fraction(q + p, q), st.integers(1, 20), st.integers(2, 7)),
+    st.builds(Fraction, st.integers(14, 60)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(masks_st, st.booleans(), r_kinds_st)
+def test_violator_search_matches_reference(masks, with_empty, r):
+    # members of mixed sizes, with or without the empty member
+    f = plain(masks + [0] * with_empty)
+    smallest = ref_violator(f, r, largest=False)
+    ok, witness = is_r_spread(f, r)
+    assert ok == (smallest is None)
+    assert (witness.mask if witness else None) == smallest
+    assert spread._violator(f, r, largest=True) == ref_violator(f, r, largest=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.sampled_from(list(combinations(range(UNIVERSE), k))), min_size=1, max_size=15
+        )
+    ),
+    r_kinds_st,
+)
+def test_spread_subfamily_search_matches_reference(members, alpha):
+    # the largest violating size, through the public k-uniform entry point
+    f = family_of(UNIVERSE, *members)
+    if not Fraction(f.size) > alpha ** len(members[0]):
+        return
+    largest = ref_violator(f, alpha, largest=True)
+    x, sub = find_spread_subfamily(f, alpha)
+    assert x.mask == (largest or 0)
+    assert sub == (f if largest is None else restrict(f, x))
+
+
 # ---------------------------------------------------------------------------
 # ExactPow: equal values hash equal
 

@@ -181,6 +181,19 @@ def test_spreadness_kl_edges():
     assert rep.verdict == "pass"
 
 
+def test_spreadness_kl_edges_formula_at_small_l_is_vacuous():
+    # l <= 9 makes every bound point info; the k >= 3 gate asserts nothing
+    note = "every bound point is info: no inequality was checked"
+    for k, l in ((2, 3), (3, 3), (2, 9)):
+        rep = check_encoded_spreadness("kl-edges", k=k, l=l, mode="formula")
+        assert {p.verdict for p in rep.points[1:]} == {"info"}
+        assert rep.verdict == "vacuous" and rep.notes[-1] == note
+    # a checked point keeps the head pass
+    for k, l, mode in ((2, 10, "formula"), (2, 3, "both"), (2, 3, "direct")):
+        rep = check_encoded_spreadness("kl-edges", k=k, l=l, mode=mode)
+        assert rep.verdict == "pass" and note not in rep.notes
+
+
 def test_spreadness_unknown_setting():
     with pytest.raises(DomainError):
         check_encoded_spreadness("nope")
