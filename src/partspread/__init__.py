@@ -17,7 +17,6 @@ from .partitions import (
     enumerate_into_blocks,
     enumerate_partitions,
     enumerate_profiled,
-    enumerate_uniform,
     iter_partitions,
     partially_t_intersect,
     stirling2,

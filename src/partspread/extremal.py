@@ -31,7 +31,7 @@ from .partitions import (
     u_count,
 )
 from .report import FAIL, INFO, PASS, SKIPPED, Record
-from .setfam import mask_indices
+from .setfam import holders, mask_indices
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +224,6 @@ PREDICATES: dict[str, Callable[[Partition, Partition, int], bool]] = {
 _LEAST_T = {"t-intersect": 0, "partially-t-intersect": 1}
 
 
-def _holders(features: Sequence[Sequence]) -> dict:
-    """Feature index: each feature -> bitmask of the items that list it."""
-    index: dict = {}
-    for i, fs in enumerate(features):
-        bit = 1 << i
-        for f in fs:
-            index[f] = index.get(f, 0) | bit
-    return index
-
-
 def _in_at_least(masks: Sequence[int], need: int) -> int:
     """Bitmask of the items set in at least `need` >= 1 of the masks.
 
@@ -261,16 +251,16 @@ def _adjacency(universe: Sequence[Partition], predicate: str, t: int) -> list[in
     n = len(universe)
     if predicate == "t-intersect" and t <= 0:
         return [((1 << n) - 1) ^ (1 << v) for v in range(n)]
-    holders = _holders([p.blocks for p in universe])
+    held_by = holders(p.blocks for p in universe)
     if predicate == "t-intersect":
-        rows = [_in_at_least([holders[b] for b in p.blocks], t) for p in universe]
+        rows = [_in_at_least([held_by[b] for b in p.blocks], t) for p in universe]
     else:
-        blocks = list(holders)
-        elements = _holders(blocks)
+        blocks = list(held_by)
+        elements = holders(blocks)
         reach = {}  # block -> the partitions holding a block it meets in >= t elements
         for b in blocks:
             met = _in_at_least([elements[e] for e in b], t)
-            reach[b] = _in_at_least([holders[blocks[j]] for j in mask_indices(met)], 1)
+            reach[b] = _in_at_least([held_by[blocks[j]] for j in mask_indices(met)], 1)
         rows = [_in_at_least([reach[b] for b in p.blocks], 1) for p in universe]
     return [row & ~(1 << v) for v, row in enumerate(rows)]
 

@@ -8,6 +8,7 @@ minimum element.  Two partitions are equal iff their canonical forms agree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -174,18 +175,12 @@ def tilde_bell(n: int) -> int:
 def count_profiled(p: Profile) -> int:
     """Number of partitions whose multiset of block sizes equals the profile.
 
-    n! / (prod k_i! * prod mult_s!) where mult_s counts repeats of size s;
-    the multiplicity factor stops equal-size blocks from being ordered.
+    n! / prod_s ((s!)^m_s m_s!) where m_s counts the blocks of size s; the
+    m_s! stops equal-size blocks from being ordered.
     """
-    n = p.n
-    count = math.factorial(n)
-    for k in p.sizes:
-        count //= math.factorial(k)
-    mult = 1
-    for i, k in enumerate(p.sizes):
-        mult = mult + 1 if i > 0 and k == p.sizes[i - 1] else 1
-        count //= mult
-    return count
+    return math.factorial(p.n) // math.prod(
+        math.factorial(s) ** m * math.factorial(m) for s, m in Counter(p.sizes).items()
+    )
 
 
 def u_count(k: int, l: int) -> int:
@@ -293,11 +288,6 @@ def enumerate_profiled(p: Profile) -> list[Partition]:
     n = p.n
     elems = tuple(range(1, n + 1))
     return [Partition._trusted(n, bl) for bl in _gen_profiled(elems, p.sizes)]
-
-
-def enumerate_uniform(k: int, l: int) -> list[Partition]:
-    """All partitions of [k*l] into l blocks of size k."""
-    return enumerate_profiled(Profile.uniform(k, l))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,16 @@ def mask_indices(mask: int) -> list[int]:
     return out
 
 
+def holders(features: Iterable[Iterable]) -> dict:
+    """Feature index: each feature -> bitmask of the items that list it."""
+    index: dict = {}
+    for i, fs in enumerate(features):
+        bit = 1 << i
+        for f in fs:
+            index[f] = index.get(f, 0) | bit
+    return index
+
+
 class ElementSet:
     """An immutable subset of a universe, stored as a bitmask."""
 
@@ -154,12 +164,6 @@ class ElementSet:
 
     def indices(self) -> list[int]:
         return mask_indices(self.mask)
-
-    def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.universe, self.mask | other.mask)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.universe, self.mask & other.mask)
 
     def __contains__(self, idx: int) -> bool:
         return (self.mask >> idx) & 1 == 1

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
-from .setfam import ElementSet, SetFamily, mask_indices, restrict
+from .setfam import ElementSet, SetFamily, holders, mask_indices, restrict
 from . import guards
 
 
@@ -60,7 +60,7 @@ def _least_ratio(
     return best, best_mask
 
 
-def _violator(f: SetFamily, r: Fraction, largest: bool) -> Optional[int]:
+def _violator(masks: Sequence[int], r: Fraction, largest: bool) -> Optional[int]:
     """Least mask X with |F(X)| r^|X| > |F| at the smallest (or largest) such size.
 
     With r = p/q, a set X of size s violates exactly when |F(X)| exceeds
@@ -69,49 +69,45 @@ def _violator(f: SetFamily, r: Fraction, largest: bool) -> Optional[int]:
     deep every s-subset of a member violates, and the least one of a member
     is its s lowest bits.  Sizes 1..deep are searched by `_counted_violators`.
     Refused by the spread_candidate_max guard on the candidate count (the sum
-    of 2^|A| over members A) before any work.
+    of 2^|A| over members A) before any work.  F is given by its member masks.
     """
-    total = sum(2 ** m.bit_count() for m in f.masks)
+    total = sum(2 ** m.bit_count() for m in masks)
     guards.require("spread_candidate_max", total, "candidate sets")
     p, q = r.numerator, r.denominator
-    top = f.max_size()
+    top = max((m.bit_count() for m in masks), default=0)
     if p <= q or top == 0:
         return None
-    floor = [f.size * q**s // p**s for s in range(top + 1)]
+    floor = [len(masks) * q**s // p**s for s in range(top + 1)]
     deep = 0
     while deep < top and floor[deep + 1]:
         deep += 1
     if largest and deep < top:
-        return min(m for m in f.masks if m.bit_count() == top)
-    least = _counted_violators(f, floor, deep, largest)
+        return min(m for m in masks if m.bit_count() == top)
+    least = _counted_violators(masks, floor, deep, largest)
     if least:
         return least[max(least) if largest else min(least)]
     if deep < top:
         return min(
             sum(1 << e for e in mask_indices(m)[: deep + 1])
-            for m in f.masks
+            for m in masks
             if m.bit_count() > deep
         )
     return None
 
 
 def _counted_violators(
-    f: SetFamily, floor: list[int], deep: int, largest: bool
+    masks: Sequence[int], floor: list[int], deep: int, largest: bool
 ) -> dict[int, int]:
     """Map sizes s in 1..deep to their least X with |F(X)| > floor[s], if any.
 
     A depth-first search adds elements in increasing index order.  Each
-    element carries the bitmask of the members containing it, so |F(X)| of a
-    set grown by one element is one AND and one bit count.  A set is grown
-    only while more than floor[deep] members contain it: |F(X)| only falls as
-    X grows and floor[deep] is the least threshold, so nothing pruned can
-    violate.  Unless largest, no set grows past the least violating size
-    found so far.
+    element carries the bitmask of the members containing it (`holders`), so
+    |F(X)| of a set grown by one element is one AND and one bit count.  A set
+    is grown only while more than floor[deep] members contain it: |F(X)| only
+    falls as X grows and floor[deep] is the least threshold, so nothing
+    pruned can violate.  Unless largest, no set grows past the least
+    violating size found so far.
     """
-    holders: dict[int, int] = {}
-    for i, m in enumerate(f.masks):
-        for e in mask_indices(m):
-            holders[e] = holders.get(e, 0) | 1 << i
     keep = floor[deep]
     least: dict[int, int] = {}
     stop = deep
@@ -136,7 +132,7 @@ def _counted_violators(
 
     grow(0, 1, [
         (1 << e, held, held.bit_count())
-        for e, held in sorted(holders.items())
+        for e, held in sorted(holders(map(mask_indices, masks)).items())
         if held.bit_count() > keep
     ])
     return least
@@ -186,7 +182,7 @@ def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
     r = as_fraction(r)
     if r <= 0:
         raise DomainError("is_r_spread needs r > 0")
-    mask = _violator(f, r, largest=False)
+    mask = _violator(f.masks, r, largest=False)
     if mask is None:
         return True, None
     return False, ElementSet(f.universe, mask)
@@ -220,9 +216,12 @@ def find_max_violating(f: SetFamily, r) -> ElementSet:
 
     Greedy growth from the empty set: each step adds the element maximizing
     |F(X + e)| among those keeping the threshold, ties to the smallest index.
-    When no single element qualifies, a violator of the spreadness of F(X)
-    (if any) is absorbed and growth resumes; the returned X therefore always
-    satisfies the threshold and leaves restrict(f, X) r-spread.
+    |F(X + e)| is one AND and one bit count: `held`, the bitmask of the
+    members containing X, against e's entry in the `holders` index.  When no
+    single element qualifies, the violator `_violator` finds for F(X) (if
+    any, under its guard) is absorbed and growth resumes; the returned X
+    therefore always satisfies the threshold and leaves restrict(f, X)
+    r-spread.
     """
     if f.size == 0:
         raise DomainError("find_max_violating of an empty family")
@@ -230,32 +229,30 @@ def find_max_violating(f: SetFamily, r) -> ElementSet:
     if r <= 1:
         raise DomainError("find_max_violating needs r > 1")
     p, q = r.numerator, r.denominator
-    size = f.size
+    index = holders(map(mask_indices, f.masks))
+    elements = sorted(index)
+    held = (1 << f.size) - 1
     x = 0
     while True:
-        containing = [m for m in f.masks if m & x == x]
-        pool = 0
-        for m in containing:
-            pool |= m
-        pool &= ~x
-        s1 = x.bit_count() + 1
-        lhs_scale = p**s1
-        rhs = size * q**s1
+        s = x.bit_count() + 1
+        need = -(-f.size * q**s // p**s)  # least |F(X + e)| keeping the threshold
         best_e = None
-        best_cnt = 0
-        for e in mask_indices(pool):
-            bit = 1 << e
-            cnt = sum(1 for m in containing if m & bit)
-            if cnt * lhs_scale >= rhs and cnt > best_cnt:
+        best_cnt = need - 1
+        for e in elements:
+            cnt = (held & index[e]).bit_count()
+            if cnt > best_cnt and not x >> e & 1:
                 best_cnt = cnt
                 best_e = e
         if best_e is not None:
             x |= 1 << best_e
+            held &= index[best_e]
             continue
-        ok, viol = is_r_spread(restrict(f, ElementSet(f.universe, x)), r)
-        if ok:
+        viol = _violator([m & ~x for m in f.masks if m & x == x], r, largest=False)
+        if viol is None:
             return ElementSet(f.universe, x)
-        x |= viol.mask
+        x |= viol
+        for e in mask_indices(viol):
+            held &= index[e]
 
 
 def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
@@ -271,11 +268,13 @@ def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
         raise PreconditionError("family is not uniform")
     k = sizes.pop()
     alpha = as_fraction(alpha)
+    if alpha <= 0:
+        raise DomainError("find_spread_subfamily needs alpha > 0")
     if not Fraction(f.size) > alpha**k:
         raise PreconditionError(
             f"|F| = {f.size} does not exceed alpha^k = {alpha}**{k}"
         )
-    best_mask = _violator(f, alpha, largest=True)
+    best_mask = _violator(f.masks, alpha, largest=True)
     if best_mask is None:
         return ElementSet(f.universe, 0), f
     x = ElementSet(f.universe, best_mask)

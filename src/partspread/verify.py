@@ -144,10 +144,7 @@ def _profiled_star_count(sizes: Sequence[int], j: int, corrected: bool) -> int:
     free = sizes[j:]
     if corrected:
         return count_profiled(Profile(free))
-    count = math.factorial(sum(free))
-    for k in free:
-        count //= math.factorial(k)
-    return count
+    return math.factorial(sum(free)) // math.prod(math.factorial(k) for k in free)
 
 
 def _subpartition_shapes(k: int, l: int):

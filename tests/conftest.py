@@ -6,6 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
+from partspread.partitions import Profile, enumerate_profiled
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily
 
 
@@ -23,6 +24,11 @@ def family_of(n: int, *index_sets) -> SetFamily:
 def element_set(f: SetFamily, indices) -> ElementSet:
     """The set of the given element indices over f's universe."""
     return ElementSet.from_indices(f.universe, indices)
+
+
+def enumerate_uniform(k: int, l: int) -> list:
+    """All partitions of [k*l] into l blocks of size k."""
+    return enumerate_profiled(Profile.uniform(k, l))
 
 
 def has_singleton(p) -> bool:

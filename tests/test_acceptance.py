@@ -10,7 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from conftest import family_of, has_singleton, ksubsets_family, select
+from conftest import enumerate_uniform, family_of, has_singleton, ksubsets_family, select
 from partspread.approx import (
     minimize_t_intersecting,
     reduction_sequence,
@@ -32,7 +32,6 @@ from partspread.partitions import (
     count_profiled,
     enumerate_into_blocks,
     enumerate_partitions,
-    enumerate_uniform,
     iter_partitions,
     partially_t_intersect,
     stirling2,

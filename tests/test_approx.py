@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import family_of, ksubsets_family, select
+from conftest import enumerate_uniform, family_of, ksubsets_family, select
 from partspread.approx import (
     check_dominance,
     minimize_t_intersecting,
@@ -16,7 +16,7 @@ from partspread.encoding import encode_family_edges
 from partspread import approx, guards, spread
 from partspread.errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
-from partspread.partitions import Profile, enumerate_uniform
+from partspread.partitions import Profile
 from partspread.report import records_to_text
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict
 from partspread.spread import is_r_spread

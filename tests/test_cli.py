@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import enumerate_uniform
 from partspread import cli, guards, verify
 from partspread.cli import load_family, load_subfamily, main
 from partspread.encoding import encode_edges, encode_family_edges, encode_parts
 from partspread.errors import DomainError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
-from partspread.partitions import Profile, enumerate_into_blocks, enumerate_uniform, tilde_bell
+from partspread.partitions import Profile, enumerate_into_blocks, tilde_bell
 from partspread.setfam import family_to_text
 from partspread.spread import candidate_counts
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import enumerate_uniform
 from partspread.encoding import (
     SubPartition,
     count_extensions,
@@ -18,7 +19,6 @@ from partspread.errors import DomainError
 from partspread.partitions import (
     Partition,
     enumerate_partitions,
-    enumerate_uniform,
     iter_partitions,
     partially_t_intersect,
     u_count,

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import select
+from conftest import enumerate_uniform, select
 from partspread import extremal, guards
 from partspread.cli import main
 from partspread.errors import DomainError, IntegrityError, ResourceLimitError
@@ -22,7 +22,6 @@ from partspread.partitions import (
     enumerate_into_blocks,
     enumerate_partitions,
     enumerate_profiled,
-    enumerate_uniform,
     partially_t_intersect,
     stirling2,
     t_intersect,

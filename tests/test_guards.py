@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from conftest import family_of
+from conftest import enumerate_uniform, family_of
 from partspread import guards
 from partspread.cli import GUARD_FLAGS, main
 from partspread.errors import ResourceLimitError
 from partspread.extremal import check_conjecture_instance, max_compatible_family
-from partspread.partitions import Profile, enumerate_profiled, enumerate_uniform, iter_partitions
+from partspread.partitions import Profile, enumerate_profiled, iter_partitions
 from partspread.setfam import PlainUniverse, SetFamily, covering_number
 from partspread.spread import candidate_counts, find_sunflower
 

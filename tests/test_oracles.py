@@ -12,7 +12,7 @@ from itertools import combinations
 import mpmath
 from hypothesis import given, settings, strategies as st
 
-from conftest import family_of
+from conftest import enumerate_uniform, family_of
 from partspread.exact import ExactPow
 from partspread.extremal import PREDICATES, _adjacency, _max_clique_masks
 from partspread.partitions import (
@@ -20,7 +20,6 @@ from partspread.partitions import (
     enumerate_into_blocks,
     enumerate_partitions,
     enumerate_profiled,
-    enumerate_uniform,
 )
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, covering_number
 from partspread.spread import (

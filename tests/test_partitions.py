@@ -1,7 +1,9 @@
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import has_singleton
 from partspread import guards
@@ -196,9 +198,25 @@ def test_count_profiled():
             assert count_profiled(prof) == cnt
 
 
-def test_uniform_count_closed_form():
-    import math
+def ref_count_profiled(p: Profile) -> int:
+    """n! divided by k! per block, then by the running multiplicity of each size."""
+    count = math.factorial(p.n)
+    for k in p.sizes:
+        count //= math.factorial(k)
+    mult = 1
+    for i, k in enumerate(p.sizes):
+        mult = mult + 1 if i > 0 and k == p.sizes[i - 1] else 1
+        count //= mult
+    return count
 
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=60))
+def test_count_profiled_matches_reference(sizes):
+    prof = Profile(sorted(sizes))
+    assert count_profiled(prof) == ref_count_profiled(prof)
+
+
+def test_uniform_count_closed_form():
     for k, l in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
         assert u_count(k, l) == math.factorial(k * l) // (
             math.factorial(l) * math.factorial(k) ** l

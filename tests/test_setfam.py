@@ -54,7 +54,7 @@ def test_restrict():
     assert {tuple(m.indices()) for m in r.members()} == {(1,), (2,)}
     # restrict composes over disjoint sets
     x, y = element_set(f, [0]), element_set(f, [1])
-    assert restrict(restrict(f, x), y) == restrict(f, x.union(y))
+    assert restrict(restrict(f, x), y) == restrict(f, ElementSet(f.universe, x.mask | y.mask))
 
 
 def test_restrict_encoded_bell(b4_encoded):

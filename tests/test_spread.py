@@ -3,7 +3,6 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +214,11 @@ def test_find_spread_subfamily():
         find_spread_subfamily(family_of(4, {0, 1}), 2)
     with pytest.raises(PreconditionError):
         find_spread_subfamily(family_of(4, {0, 1}, {0, 1, 2}), 2)
+    # alpha <= 0 is refused, also where |F| > alpha^k holds (alpha < 0, odd k)
+    with pytest.raises(DomainError, match="needs alpha > 0"):
+        find_spread_subfamily(fam, 0)
+    with pytest.raises(DomainError, match="needs alpha > 0"):
+        find_spread_subfamily(family_of(4, {0}, {1}), -1)
 
 
 def test_find_spread_subfamily_postcheck_random():
@@ -265,8 +269,7 @@ def test_find_sunflower_petals_are_a_sunflower():
             assert len(petals) == l
             for i in range(l):
                 for j in range(i + 1, l):
-                    inter = petals[i].intersection(petals[j])
-                    assert inter.mask == core.mask
+                    assert petals[i].mask & petals[j].mask == core.mask
 
 
 def test_sunflower_classical_threshold_2_uniform():
@@ -411,14 +414,42 @@ def test_check_dominance_best_t_matches_reference(masks):
         assert len(select(recs, "dominance", T=best)) == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(masks_st, st.builds(Fraction, st.integers(7, 30), st.integers(1, 6)))
-def test_find_max_violating_matches_reference(masks, r):
-    f = plain(masks)
-    got = find_max_violating(f, r)
-    with mock.patch.object(spread, "is_r_spread", ref_is_r_spread):
-        expected = find_max_violating(f, r)
-    assert got.mask == expected.mask
+def ref_find_max_violating(f: SetFamily, r) -> int:
+    """Greedy growth that recounts each element over the members containing X
+    and absorbs the reference violator of restrict(f, X)."""
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    x = 0
+    while True:
+        containing = [m for m in f.masks if m & x == x]
+        pool = 0
+        for m in containing:
+            pool |= m
+        pool &= ~x
+        s = x.bit_count() + 1
+        best_e, best_cnt = None, 0
+        for e in mask_indices(pool):
+            cnt = sum(1 for m in containing if m >> e & 1)
+            if cnt * p**s >= f.size * q**s and cnt > best_cnt:
+                best_e, best_cnt = e, cnt
+        if best_e is not None:
+            x |= 1 << best_e
+            continue
+        ok, viol = ref_is_r_spread(restrict(f, ElementSet(f.universe, x)), r)
+        if ok:
+            return x
+        x |= viol.mask
+
+
+# r > 1: fractional, integral, and above |F| (at most 13 members)
+r_above_one_st = st.builds(lambda p, q: Fraction(q + p, q), st.integers(1, 40), st.integers(1, 7))
+
+
+@settings(max_examples=400, deadline=None)
+@given(masks_st, st.booleans(), r_above_one_st)
+def test_find_max_violating_matches_reference(masks, with_empty, r):
+    f = plain(masks + [0] * with_empty)
+    assert find_max_violating(f, r).mask == ref_find_max_violating(f, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -473,7 +504,7 @@ def test_violator_search_matches_reference(masks, with_empty, r):
     ok, witness = is_r_spread(f, r)
     assert ok == (smallest is None)
     assert (witness.mask if witness else None) == smallest
-    assert spread._violator(f, r, largest=True) == ref_violator(f, r, largest=True)
+    assert spread._violator(f.masks, r, largest=True) == ref_violator(f, r, largest=True)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import family_of, select
+from conftest import enumerate_uniform, family_of, select
 from partspread.errors import DomainError, PreconditionError
-from partspread.partitions import Partition, Profile, bell, enumerate_uniform
+from partspread.partitions import Partition, Profile, bell
+from partspread import verify
 from partspread.report import CheckReport
 from partspread.setfam import PlainUniverse, SetFamily
 from partspread.verify import (
@@ -17,6 +20,18 @@ from partspread.verify import (
     check_random_containment,
     containment_closed_form,
 )
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=40), st.integers(0, 40))
+def test_profiled_star_count_matches_reference(sizes, j):
+    # the printed (ordered free blocks) count against one division per block
+    sizes = sorted(sizes)
+    j = min(j, len(sizes))
+    free = sizes[j:]
+    count = math.factorial(sum(free))
+    for k in free:
+        count //= math.factorial(k)
+    assert verify._profiled_star_count(sizes, j, False) == count
 
 
 def test_bell_ratio_small_points():
