@@ -23,8 +23,8 @@ from .report import FAIL, INFO, PASS, SKIPPED, Record
 from .setfam import ElementSet, SetFamily, mask_indices, restrict, star_count, stars
 from .spread import (
     candidate_counts,
-    find_max_violating,
     is_r_spread,
+    peel_violators,
     spread_factor,
     weak_spread,
 )
@@ -92,24 +92,22 @@ def spread_approximate(f: SetFamily, r, q: int) -> ApproxResult:
     if q < 1:
         raise DomainError("spread_approximate needs q >= 1")
     cores: list[ElementSet] = []
-    fams: list[SetFamily] = []
+    peeled: list[int] = []
     trace: list[PeelStep] = []
     oversized: Optional[ElementSet] = None
-    cur = f
-    while cur.size > 0:
-        s_i = find_max_violating(cur, r)
+    alive = (1 << f.size) - 1
+    for x, held in peel_violators(f, r):
+        s_i = ElementSet(f.universe, x)
         if s_i.size > q:
             oversized = s_i
             break
-        star = stars(cur, [s_i])
+        size = alive.bit_count()
         cores.append(s_i)
-        fams.append(star)
-        trace.append(
-            PeelStep(s_i, cur.size, Fraction(cur.size) / r**s_i.size, star.size)
-        )
-        star_masks = set(star.masks)
-        cur = SetFamily(cur.universe, (m for m in cur.masks if m not in star_masks))
-    return ApproxResult(cores, fams, cur, trace, oversized)
+        peeled.append(held)
+        trace.append(PeelStep(s_i, size, Fraction(size) / r**s_i.size, held.bit_count()))
+        alive &= ~held
+    fams = [SetFamily(f.universe, [f.masks[i] for i in mask_indices(b)]) for b in peeled + [alive]]
+    return ApproxResult(cores, fams[:-1], fams[-1], trace, oversized)
 
 
 def verify_approx(

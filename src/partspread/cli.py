@@ -281,10 +281,11 @@ def _run_approximate(args) -> list[Record]:
         universe, fam = load_family(args.family)
         ambient = fam
     r = parse_ratio(args.r)
+    r0 = parse_ratio(args.r0) if checked else None
     res = spread_approximate(fam, r, args.q)
     recs = res.records()
     if checked:
-        recs += verify_approx(res, fam, ambient, r, parse_ratio(args.r0), args.q, args.t)
+        recs += verify_approx(res, fam, ambient, r, r0, args.q, args.t)
     return recs
 
 

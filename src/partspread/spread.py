@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
@@ -60,64 +61,68 @@ def _least_ratio(
     return best, best_mask
 
 
-def _violator(masks: Sequence[int], r: Fraction, largest: bool) -> Optional[int]:
+def _violator(masks, index, alive: int, x: int, r: Fraction, largest: bool) -> Optional[int]:
     """Least mask X with |F(X)| r^|X| > |F| at the smallest (or largest) such size.
 
-    With r = p/q, a set X of size s violates exactly when |F(X)| exceeds
-    floor[s] = |F| q^s // p^s.  For r <= 1 nothing violates.  For r > 1 floor
-    does not rise with s, so the sizes with floor[s] > 0 are 1..deep; above
-    deep every s-subset of a member violates, and the least one of a member
-    is its s lowest bits.  Sizes 1..deep are searched by `_counted_violators`.
-    Refused by the spread_candidate_max guard on the candidate count (the sum
-    of 2^|A| over members A) before any work.  F is given by its member masks.
+    F is the members of `masks` at the bits of `alive` less the elements of x
+    (one pass over the binary digits of alive, which mask_indices would shift
+    once per bit).  `index()` returns the `holders` index of `masks`; it is
+    called at most once, and only for a counted search.  With r = p/q, a set X
+    of size s violates exactly when |F(X)| exceeds floor[s] = |F| q^s // p^s.
+    For r <= 1 nothing violates.  For r > 1 floor does not rise with s, so the
+    sizes with floor[s] > 0 are 1..deep; above deep every s-subset of a member
+    violates, and the least one of a member is its s lowest bits.  Sizes
+    1..deep are searched by `_counted_violators`.  Refused above
+    spread_candidate_max on the sum of 2^|A| over members A of F first.
     """
-    total = sum(2 ** m.bit_count() for m in masks)
+    members = [m & ~x for m, bit in zip(masks, bin(alive)[:1:-1]) if bit == "1"]
+    total = sum(2 ** m.bit_count() for m in members)
     guards.require("spread_candidate_max", total, "candidate sets")
     p, q = r.numerator, r.denominator
-    top = max((m.bit_count() for m in masks), default=0)
+    top = max((m.bit_count() for m in members), default=0)
     if p <= q or top == 0:
         return None
-    floor = [len(masks) * q**s // p**s for s in range(top + 1)]
+    floor = [len(members) * q**s // p**s for s in range(top + 1)]
     deep = 0
     while deep < top and floor[deep + 1]:
         deep += 1
     if largest and deep < top:
-        return min(m for m in masks if m.bit_count() == top)
-    least = _counted_violators(masks, floor, deep, largest)
+        return min(m for m in members if m.bit_count() == top)
+    least = _counted_violators(index(), alive, x, floor, deep, largest)
     if least:
         return least[max(least) if largest else min(least)]
     if deep < top:
         return min(
             sum(1 << e for e in mask_indices(m)[: deep + 1])
-            for m in masks
+            for m in members
             if m.bit_count() > deep
         )
     return None
 
 
 def _counted_violators(
-    masks: Sequence[int], floor: list[int], deep: int, largest: bool
+    index: dict, alive: int, x: int, floor: list[int], deep: int, largest: bool
 ) -> dict[int, int]:
     """Map sizes s in 1..deep to their least X with |F(X)| > floor[s], if any.
 
-    A depth-first search adds elements in increasing index order.  Each
-    element carries the bitmask of the members containing it (`holders`), so
-    |F(X)| of a set grown by one element is one AND and one bit count.  A set
-    is grown only while more than floor[deep] members contain it: |F(X)| only
-    falls as X grows and floor[deep] is the least threshold, so nothing
-    pruned can violate.  Unless largest, no set grows past the least
-    violating size found so far.
+    F is as in `_violator`.  A depth-first search adds elements outside x in
+    increasing index order.  Each carries the bitmask of the members of F
+    containing it (its index entry and `alive`), so |F(X)| of a set grown by
+    one element is one AND and one bit count.  A set is grown only while
+    more than floor[deep] members contain it: |F(X)| only falls as X grows
+    and floor[deep] is the least threshold, so nothing pruned can violate.
+    Unless largest, no set grows past the least violating size found so far.
     """
     keep = floor[deep]
     least: dict[int, int] = {}
     stop = deep
 
-    def grow(x: int, s: int, ext: list[tuple[int, int, int]]) -> None:
+    def grow(y: int, s: int, ext: list[tuple[int, int, int]]) -> None:
         nonlocal stop
         for j, (bit, held, cnt) in enumerate(ext, 1):
-            y = x | bit
-            if cnt > floor[s] and y < least.get(s, y + 1):
-                least[s] = y
+            z = y | bit
+            if cnt > floor[s] and z < least.get(s, z + 1):
+                least[s] = z
                 if not largest:
                     stop = s
             if s < stop:
@@ -128,12 +133,12 @@ def _counted_violators(
                     if c > keep:
                         sub.append((bit2, both, c))
                 if sub:
-                    grow(y, s + 1, sub)
+                    grow(z, s + 1, sub)
 
     grow(0, 1, [
         (1 << e, held, held.bit_count())
-        for e, held in sorted(holders(map(mask_indices, masks)).items())
-        if held.bit_count() > keep
+        for e, held in ((e, held & alive) for e, held in sorted(index.items()))
+        if held.bit_count() > keep and not x >> e & 1
     ])
     return least
 
@@ -175,14 +180,15 @@ def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
     r = p/q, a set X of size s violates exactly when |F(X)| > |F| q^s // p^s;
     only sets contained in more members than the least such threshold are
     searched, which is exact because |F(X)| only falls as X grows.  Refused
-    above spread_candidate_max on the candidate count before any work.
+    above spread_candidate_max on the candidate count before any search.
     """
     if f.size == 0:
         raise DomainError("spreadness of an empty family")
     r = as_fraction(r)
     if r <= 0:
         raise DomainError("is_r_spread needs r > 0")
-    mask = _violator(f.masks, r, largest=False)
+    index = partial(holders, map(mask_indices, f.masks))
+    mask = _violator(f.masks, index, (1 << f.size) - 1, 0, r, largest=False)
     if mask is None:
         return True, None
     return False, ElementSet(f.universe, mask)
@@ -211,48 +217,52 @@ def weak_spread(a: SetFamily, t: int) -> tuple[ElementSet, ExactPow, Optional[El
     return ElementSet(a.universe, best_t), best, ElementSet(a.universe, best_mask)
 
 
-def find_max_violating(f: SetFamily, r) -> ElementSet:
-    """Grow a set X with |F(X)| >= r^(-|X|) |F| until F(X) is r-spread.
+def peel_violators(f: SetFamily, r: Fraction) -> Iterator[tuple[int, int]]:
+    """Yield (S_i, star bits) for F^0 = f and F^(i+1) = F^i minus F^i[S_i], r > 1.
 
-    Greedy growth from the empty set: each step adds the element maximizing
-    |F(X + e)| among those keeping the threshold, ties to the smallest index.
-    |F(X + e)| is one AND and one bit count: `held`, the bitmask of the
-    members containing X, against e's entry in the `holders` index.  When no
-    single element qualifies, the violator `_violator` finds for F(X) (if
-    any, under its guard) is absorbed and growth resumes; the returned X
-    therefore always satisfies the threshold and leaves restrict(f, X)
-    r-spread.
+    F^i and its star are bitmasks of f's members over one `holders` index.
+    S_i grows from the empty set by the least e maximizing |F^i(X + e)| >=
+    r^(-|X + e|) |F^i|, one AND of `held` (members containing X) and e's entry;
+    when none qualifies, the violator `_violator` finds for F^i(X) (under its
+    guard) is absorbed, so S_i meets the threshold and leaves F^i(S_i) r-spread.
     """
+    index = holders(map(mask_indices, f.masks))
+    entries = sorted(index.items())
+    p, q = r.numerator, r.denominator
+    alive = (1 << f.size) - 1
+    while alive:
+        size, held, x = alive.bit_count(), alive, 0
+        while True:
+            s = x.bit_count() + 1
+            need = -(-size * q**s // p**s)  # least |F(X + e)| keeping the threshold
+            best_e, best_cnt = None, need - 1
+            for e, holds in entries:
+                cnt = (held & holds).bit_count()
+                if cnt > best_cnt and not x >> e & 1:
+                    best_cnt = cnt
+                    best_e = e
+            if best_e is not None:
+                x |= 1 << best_e
+                held &= index[best_e]
+                continue
+            viol = _violator(f.masks, lambda: index, held, x, r, largest=False)
+            if viol is None:
+                break
+            x |= viol
+            for e in mask_indices(viol):
+                held &= index[e]
+        yield x, held
+        alive &= ~held
+
+
+def find_max_violating(f: SetFamily, r) -> ElementSet:
+    """S_0 of `peel_violators`: a set X with |F(X)| >= r^(-|X|) |F| leaving F(X) r-spread."""
     if f.size == 0:
         raise DomainError("find_max_violating of an empty family")
     r = as_fraction(r)
     if r <= 1:
         raise DomainError("find_max_violating needs r > 1")
-    p, q = r.numerator, r.denominator
-    index = holders(map(mask_indices, f.masks))
-    elements = sorted(index)
-    held = (1 << f.size) - 1
-    x = 0
-    while True:
-        s = x.bit_count() + 1
-        need = -(-f.size * q**s // p**s)  # least |F(X + e)| keeping the threshold
-        best_e = None
-        best_cnt = need - 1
-        for e in elements:
-            cnt = (held & index[e]).bit_count()
-            if cnt > best_cnt and not x >> e & 1:
-                best_cnt = cnt
-                best_e = e
-        if best_e is not None:
-            x |= 1 << best_e
-            held &= index[best_e]
-            continue
-        viol = _violator([m & ~x for m in f.masks if m & x == x], r, largest=False)
-        if viol is None:
-            return ElementSet(f.universe, x)
-        x |= viol
-        for e in mask_indices(viol):
-            held &= index[e]
+    return ElementSet(f.universe, next(peel_violators(f, r))[0])
 
 
 def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
@@ -274,7 +284,8 @@ def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
         raise PreconditionError(
             f"|F| = {f.size} does not exceed alpha^k = {alpha}**{k}"
         )
-    best_mask = _violator(f.masks, alpha, largest=True)
+    index = partial(holders, map(mask_indices, f.masks))
+    best_mask = _violator(f.masks, index, (1 << f.size) - 1, 0, alpha, largest=True)
     if best_mask is None:
         return ElementSet(f.universe, 0), f
     x = ElementSet(f.universe, best_mask)

@@ -3,23 +3,27 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_uniform, family_of, ksubsets_family, select
 from partspread.approx import (
+    ApproxResult,
+    PeelStep,
     check_dominance,
     minimize_t_intersecting,
     reduction_sequence,
     spread_approximate,
     verify_approx,
 )
+from partspread.cli import load_family
 from partspread.encoding import encode_family_edges
-from partspread import approx, guards, spread
+from partspread import approx, guards, setfam, spread
 from partspread.errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from partspread.extremal import CanonicalSpec, canonical_family
 from partspread.partitions import Profile
 from partspread.report import records_to_text
-from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict
-from partspread.spread import is_r_spread
+from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict, stars
+from partspread.spread import find_max_violating, find_spread_subfamily, is_r_spread
 
 GATES = ("gate-r-vs-log", "gate-r-vs-2q", "gate-r0-vs-r")
 
@@ -71,6 +75,116 @@ def test_peeling_conservation_random():
         for core, fam in zip(res.cores, res.core_families):
             ok, _ = is_r_spread(restrict(fam, core), r)
             assert ok
+
+
+def ref_spread_approximate(f: SetFamily, r, q: int) -> ApproxResult:
+    """The peel with every F^i rebuilt as a family: S_i by find_max_violating
+    on it, its star by `stars`."""
+    r = Fraction(r)
+    cores, fams, trace = [], [], []
+    oversized = None
+    cur = f
+    while cur.size > 0:
+        s_i = find_max_violating(cur, r)
+        if s_i.size > q:
+            oversized = s_i
+            break
+        star = stars(cur, [s_i])
+        cores.append(s_i)
+        fams.append(star)
+        trace.append(PeelStep(s_i, cur.size, Fraction(cur.size) / r**s_i.size, star.size))
+        star_masks = set(star.masks)
+        cur = SetFamily(cur.universe, (m for m in cur.masks if m not in star_masks))
+    return ApproxResult(cores, fams, cur, trace, oversized)
+
+
+def assert_peel_matches_reference(f: SetFamily, r, q: int) -> None:
+    got, want = spread_approximate(f, r, q), ref_spread_approximate(f, r, q)
+    assert got.cores == want.cores
+    assert [fam.masks for fam in got.core_families] == [fam.masks for fam in want.core_families]
+    assert got.remainder.masks == want.remainder.masks
+    assert got.trace == want.trace
+    assert got.oversized_core == want.oversized_core
+
+
+# members of mixed sizes over 6 elements, r > 1 fractional, integral and above |F|
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 63), min_size=1, max_size=12),
+    st.booleans(),
+    st.builds(lambda p, q: Fraction(q + p, q), st.integers(1, 40), st.integers(1, 7)),
+    st.data(),
+)
+def test_peel_matches_reference(masks, with_empty, r, data):
+    f = SetFamily(PlainUniverse(6), masks + [0] * with_empty)
+    q = data.draw(st.integers(1, max(1, f.max_size())))
+    assert_peel_matches_reference(f, r, q)
+
+
+@pytest.mark.parametrize("spec", ["bell:5", "kl:2,4"])
+@pytest.mark.parametrize("r", [Fraction(3, 2), 2, Fraction(5, 2), 4])
+def test_peel_matches_reference_encoded(spec, r):
+    _, f = load_family(spec)
+    for q in range(1, f.max_size() + 1):
+        assert_peel_matches_reference(f, r, q)
+
+
+def absorb_at_x() -> SetFamily:
+    """At r = 3, growth takes {0} (in 9 of the 19 members), and then no
+    element lies in the ceil(19/9) = 3 members of F({0}) that size 2 needs;
+    F({0}) is not 3-spread ({1, 2} lies in 2 of its 9 members), so that
+    violator is absorbed at X = {0}."""
+    core = [{1, 2, 3}, {1, 2, 4}, {5}, {6}, {7}, {8}, {9}, {5, 6}, {7, 8}]
+    return family_of(20, *[m | {0} for m in core], *[{e} for e in range(10, 20)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_max_violating(absorb_at_x(), 3),
+        lambda: is_r_spread(absorb_at_x(), 3),
+        lambda: find_spread_subfamily(ksubsets_family(5, 2), 3),
+    ],
+    ids=["find_max_violating", "is_r_spread", "find_spread_subfamily"],
+)
+def test_one_member_index_per_call(call):
+    build = mock.Mock(wraps=setfam.holders)
+    with mock.patch.object(spread, "holders", build):
+        call()
+    assert build.call_count == 1
+
+
+def test_refused_search_builds_no_index():
+    # the candidate guard comes before the index, so a refusal pays for neither
+    build = mock.Mock(wraps=setfam.holders)
+    with mock.patch.object(spread, "holders", build), guards.limited(spread_candidate_max=1):
+        with pytest.raises(ResourceLimitError, match="candidate sets=88 exceeds"):
+            is_r_spread(absorb_at_x(), 3)
+        with pytest.raises(ResourceLimitError, match="candidate sets=40 exceeds"):
+            find_spread_subfamily(ksubsets_family(5, 2), 3)
+    assert build.call_count == 0
+
+
+def test_peel_builds_one_index():
+    # one index for the whole peel, with no rebuild per step or per absorb
+    build = mock.Mock(wraps=setfam.holders)
+    with mock.patch.object(spread, "holders", build):
+        res = spread_approximate(absorb_at_x(), 3, 4)
+    assert build.call_count == 1
+    assert res.cores[0].indices() == [0, 1, 2, 3] and len(res.trace) >= 2
+
+
+def test_absorb_guard_counts_the_restriction():
+    # the absorb at X = {0} searches F({0}): 2^|A - X| summed over its 9 members
+    f = absorb_at_x()
+    c = sum(2 ** (m & ~1).bit_count() for m in f.masks if m & 1)
+    assert c == 34
+    with guards.limited(spread_candidate_max=c - 1):
+        with pytest.raises(ResourceLimitError) as exc:
+            find_max_violating(f, 3)
+    assert str(exc.value) == "SPREAD_CANDIDATE_MAX: candidate sets=34 exceeds the guard 33"
+    with guards.limited(spread_candidate_max=c):
+        assert find_max_violating(f, 3).indices() == [0, 1, 2, 3]
 
 
 def test_verify_approx_conclusions():

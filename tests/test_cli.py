@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -568,6 +569,73 @@ def test_verify_output_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a fixed subfamily of kl:3,3, in the edge indices of that universe
+KL33_SUB = """\
+N 36
+0 1 2 9 13 14 27 34 35
+0 1 2 9 18 19 26 33 35
+0 1 2 9 20 24 25 33 34
+0 1 2 9 20 26 27 31 32
+0 1 2 13 18 20 25 32 35
+0 1 2 13 19 24 26 32 34
+0 1 2 13 19 25 27 31 33
+0 1 2 14 18 24 27 32 33
+0 1 2 14 18 25 26 31 34
+0 1 2 14 19 20 24 31 35
+0 3 4 8 12 14 27 34 35
+0 3 4 8 17 19 26 33 35
+1 4 7 9 15 17 26 33 35
+1 4 11 13 15 17 25 32 35
+1 4 14 15 17 22 24 32 33
+1 4 14 15 17 25 26 29 31
+1 7 11 14 15 17 24 31 35
+1 7 13 15 17 22 25 31 33
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        ("approximate --family ct:2,4,2 --ambient kl:2,4 --r 2 --q 4 --r0 4 --t 1", 0,
+         "d4216d7421748bd6e4c2fc4a62cf0f430943f71d86575b67e97d4e0d6dc12237"),
+        ("approximate --family ct:2,4,2 --ambient kl:2,4 --r 2 --q 4 --r0 4 --t 1 "
+         "--format structured-records", 0,
+         "1da5db78761bf71e6176d019a908b6e8a3117b898608aea38aaf3c3738dd9505"),
+        ("reduce sequence --family kl:2,3 --s 0,1;1,2;0,2 --q 2 --t 1", 0,
+         "00c87303be0665c1f7fc1d4022e1b67ebe378e698979ace31000d487b852e720"),
+        ("reduce sequence --family kl:2,3 --s 0,1;1,2;0,2 --q 2 --t 1 "
+         "--format structured-records", 0,
+         "05974be9503b4368036cf1d6864b55d19d59f58106f9ef144351d1e6f87d8cc1"),
+        ("approximate --family bell:6 --r 2 --q 3 --r0 4 --t 1", 0,
+         "34ac4d564f2abddfadd800141a389a084d9241100b2696a1c0881287c50ec908"),
+        ("approximate --family bell:6 --r 2 --q 3 --r0 4 --t 1 --format structured-records", 0,
+         "4d0c2adb28cc3154b10809bdc8a7f4b3a24d7fd493294ea7044600b6fa577822"),
+        ("approximate --family file:{path} --ambient kl:3,3 --r 2 --q 9 --r0 4 --t 1", 0,
+         "8b027d4ca1157df8807c34482a04020a352a8aeb47031b75d5f2b8a0c2a23a76"),
+        ("approximate --family file:{path} --ambient kl:3,3 --r 2 --q 9 --r0 4 --t 1 "
+         "--format structured-records", 0,
+         "ccae14ee2a9f6901e5dabfc2bc428f93a557571497756907b428bacd4485657e"),
+    ],
+)
+def test_approx_output_pinned(tmp_path, capsys, argv, code, digest):
+    # sha256 of the approximate and reduce reports before the peel held its
+    # families as member bitmasks
+    path = tmp_path / "kl33_sub.txt"
+    path.write_text(KL33_SUB)
+    assert main(argv.format(path=path).split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_approximate_parses_r0_before_peeling(capsys, monkeypatch):
+    peel = mock.Mock(wraps=cli.spread_approximate)
+    monkeypatch.setattr(cli, "spread_approximate", peel)
+    argv = "approximate --family bell:6 --r 2 --q 3 --r0 x --t 1"
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: 'x' is not a rational number\n"
+    assert peel.call_count == 0
 
 
 def test_programming_error_propagates(monkeypatch):
