@@ -484,6 +484,31 @@ def test_cli_import_leaves_numpy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--m 1 --delta 1/2 --trials 100", "need trials >= 10^4"),
+        ("--m 3 --delta 1/2", "need 0 < m*delta <= 1"),
+        ("--m 1 --delta 1/2 --seed -9223372036854775809", "outside [-2^63, 2^63)"),
+        ("--m 1 --delta 1/9223372036854775808", "denominator too large"),
+    ],
+)
+def test_refused_containment_leaves_numpy_out(argv, message):
+    # numpy is imported only once every precondition of the Monte Carlo check holds
+    code = (
+        "import sys; from partspread.cli import main; "
+        "code = main(sys.argv[1:]); sys.exit(10 * code + ('numpy' in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    args = f"verify containment --family bell:4 --r 3/2 {argv}".split()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 20
+    assert proc.stdout == "" and message in proc.stderr
+
+
 PROFILE_200 = ",".join(["2"] * 200)
 
 
@@ -557,6 +582,29 @@ PROFILE_200 = ",".join(["2"] * 200)
         ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 "
          "--format structured-records", 0,
          "eda953eb07355065dbe6526a6ce404d2e72de59d7c2f86b4ddaa9a605bceac9c"),
+        # a 4096-element universe; den = 3, 3 * 2^30 + 1 (a word in four
+        # rejected) and 3 * 2^40 + 1 (64-bit words); the two extreme seeds
+        ("verify containment --family file:{singletons} --r 4096 --m 3 --delta 1/64 "
+         "--trials 10000 --seed 7", 0,
+         "c9262a0cd00bf42b282da40d1f7338e8e4491cf2de26b8f048174abe97a4897d"),
+        ("verify containment --family file:{singletons} --r 4096 --m 3 --delta 1/64 "
+         "--trials 10000 --seed 7 --format structured-records", 0,
+         "563a6d0b2ad95f404073549e32fb2760191e890614e7c35d1a47171bf85373f1"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/3", 0,
+         "0e9133256b55e1c42a7a269ac0896192bed84aa91d2a9d29fcc15b4162b7ddad"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/3 "
+         "--format structured-records", 0,
+         "66fe5c6fa1479f535e1639664e793ac9db7e2b16badb1fc63694a232a9e3cb65"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1073741825/3221225472", 0,
+         "e65638e02ec6b55f8242569fa4501fa4af0c9bf6e2bf65d0fed170c182270a9d"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1099511627776/3298534883329",
+         0, "1a999d232321aea5a5ef007c46603d0834995a90fb209211f4d380412166c6e1"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 "
+         "--seed -9223372036854775808", 0,
+         "51db572be217c3348da07e40ba30b0e76f37d43631b50907109e85581a11d722"),
+        ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 "
+         "--seed 9223372036854775807", 0,
+         "22946af8eecca26ebac0c4a0d1e9c380a34d6f5bfd2905b30072560d1d920330"),
         ("verify nonintersect --k 3 --l 2 --t 2 --t-set 1,2 --y 1,3,5|2,4,6", 1,
          "6f4495773deeff51ce2fb5b5b3b5b859cd165d0eb4dfeddc29b1f8b0b97003fb"),
         ("verify nonintersect --k 3 --l 2 --t 2 --t-set 1,2 --y 1,3,5|2,4,6 "
@@ -564,9 +612,13 @@ PROFILE_200 = ",".join(["2"] * 200)
          "2d9d4b05ebd3dd35759c78e3672d87760e9ad6e30d8ed35c5ee1fff1658fa2e2"),
     ],
 )
-def test_verify_output_pinned(capsys, argv, code, digest):
+def test_verify_output_pinned(capsys, tmp_path, argv, code, digest):
     # sha256 of the verify reports before their checks shared CheckReport.compare
-    assert main(argv.split()) == code
+    # (the later containment digests: from the per-trial Generator sampler,
+    # before the sampler read raw Philox words)
+    singletons = tmp_path / "singletons.txt"
+    singletons.write_text("N 4096\n" + "".join(f"{i}\n" for i in range(4096)), encoding="utf-8")
+    assert main(argv.format(singletons=singletons).split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,5 +1,6 @@
 """Source layout rules: no run-time writes to guards, no private cross-module imports,
-and no refusal built outside guards.require."""
+no refusal built outside guards.require, and numpy imported by the containment
+sampler alone."""
 
 import ast
 from pathlib import Path
@@ -9,13 +10,36 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "partspread").glob("*.py"))
 
 
+# the one function that may import numpy, inside its body: every other command
+# would pay numpy's import time
+NUMPY_HOME = ("verify.py", "_random_subsets")
+
+
 def _is_guards(node) -> bool:
     return isinstance(node, ast.Name) and node.id == "guards"
 
 
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(n == "numpy" or n.startswith("numpy.") for n in names)
+
+
 def _violations(tree: ast.AST, name: str = "") -> list[str]:
     found = []
+    numpy_home = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and (name, node.name) == NUMPY_HOME
+        for inner in ast.walk(node)
+    }
     for node in ast.walk(tree):
+        if _imports_numpy(node) and id(node) not in numpy_home:
+            found.append(f"line {node.lineno}: imports numpy outside verify._random_subsets")
         targets = []
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
@@ -64,3 +88,15 @@ def test_layout_rules_catch_violations():
     )
     assert len(_violations(ast.parse(bad), "spread.py")) == 5
     assert len(_violations(ast.parse(bad), "guards.py")) == 3
+    numpy_use = (
+        "import numpy as np\n"
+        "from numpy.random import Philox\n"
+        "def check_random_containment():\n"
+        "    import numpy.random\n"
+        "def _random_subsets():\n"
+        "    import numpy as np\n"
+        "    from numpy import packbits\n"
+        "from .numpy import x\n"
+    )
+    assert len(_violations(ast.parse(numpy_use), "verify.py")) == 3
+    assert len(_violations(ast.parse(numpy_use), "spread.py")) == 5

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import enumerate_uniform, family_of, select
 from partspread.errors import DomainError, PreconditionError
@@ -268,6 +268,85 @@ def test_containment_closed_form_domain():
     f = family_of(4, {0, 1})
     with pytest.raises(DomainError):
         containment_closed_form(f, 2, Fraction(1, 4))
+
+
+def _generator_subsets(n, num, den, trials, seed):
+    """Each trial's W by one Generator per trial, the sampler _random_subsets replaced."""
+    import numpy as np
+    from numpy.random import Generator, Philox
+
+    for trial in range(trials):
+        gen = Generator(Philox(key=[seed, 0], counter=[0, 0, 0, trial]))
+        draws = gen.integers(0, den, size=n, dtype=np.uint64)
+        yield int.from_bytes(np.packbits(draws < num, bitorder="little").tobytes(), "little")
+
+
+# 3 * 2^30 rejects one 32-bit word in four; 2^32 takes words as they come;
+# the last two draw 64-bit words
+SAMPLER_DENS = (1, 2, 3, 7, 64, 3 * 2**30, 2**32, 3 * 2**40 + 1, 2**62 + 12345)
+
+
+@pytest.mark.parametrize("n", (1, 15, 36, 37, 4096))
+@pytest.mark.parametrize("den", SAMPLER_DENS)
+def test_random_subsets_match_generator_draws(monkeypatch, den, n):
+    # chunks of 128 words: every run below crosses a chunk boundary
+    monkeypatch.setattr(verify, "_CHUNK_WORDS", 128)
+    trials = 128 // n + 2
+    for num in sorted({1, max(1, den // 3), max(1, den - 1), den}):
+        for seed in (-(2**63), -1, 0, 2**63 - 1):
+            args = (n, num, den, trials, seed)
+            assert list(verify._random_subsets(*args)) == list(_generator_subsets(*args))
+
+
+def test_random_subsets_cross_a_full_chunk():
+    # at the shipped chunk size: 885 trials of 37 words fill a chunk
+    trials = verify._CHUNK_WORDS // 37 + 2
+    for den, num in ((2, 1), (3 * 2**30, 2**30 + 1)):
+        args = (37, num, den, trials, 11)
+        assert list(verify._random_subsets(*args)) == list(_generator_subsets(*args))
+
+
+def test_random_subsets_word_at_the_cut():
+    # den = 2^32 takes words as they are: with num the first word of trial 0,
+    # that word lies at the cut exactly and leaves element 0 out of W
+    from numpy.random import Philox
+
+    num = int(Philox(key=[3, 0]).random_raw()) % 2**32
+    args = (4, num, 2**32, 1, 3)
+    (w,) = verify._random_subsets(*args)
+    assert [w] == list(_generator_subsets(*args)) and not w & 1
+
+
+def _bounded_draw(word: int, den: int, bits: int) -> tuple[bool, int]:
+    """(accepted, value) of one bits-wide word in numpy's bounded draw on [0, den),
+    in the steps of its C loop (Lemire's method, rng = den - 1)."""
+    rng = den - 1
+    if rng == 2**bits - 1:  # the full range takes the word as it is
+        return True, word
+    m = word * (rng + 1)
+    leftover = m % 2**bits
+    rejected = leftover < rng + 1 and leftover < (2**bits - 1 - rng) % (rng + 1)
+    return not rejected, m >> bits
+
+
+@st.composite
+def _word_cases(draw):
+    bits = draw(st.sampled_from((32, 64)))
+    den = draw(st.integers(1, 2**bits))
+    return bits, den, draw(st.integers(0, den)), draw(st.integers(0, 2**bits - 1))
+
+
+@given(_word_cases())
+@example((32, 3 * 2**30, 2**30 + 1, 2**30))  # rejected: a quarter of the words are
+@example((32, 2**32, 5, 4))
+@example((64, 3 * 2**40 + 1, 2**40, 2**64 - 1))
+def test_word_rule_is_the_bounded_draw(case):
+    bits, den, num, word = case
+    reject_below, cut = verify._word_rule(num, den, bits)
+    accepted, value = _bounded_draw(word, den, bits)
+    assert accepted == ((word * den) % 2**bits >= reject_below)
+    if accepted:
+        assert (word < cut) == (value < num) == ((word * den) >> bits < num)
 
 
 def test_nonintersect_2_3_2():
