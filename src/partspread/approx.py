@@ -19,7 +19,7 @@ from . import guards
 from .bounds import exceeds_log2
 from .errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from .exact import ExactPow, as_fraction
-from .report import FAIL, INFO, PASS, SKIPPED, Record
+from .report import FAIL, GATED, INFO, PASS, SKIPPED, Record
 from .setfam import ElementSet, SetFamily, mask_indices, restrict, star_count, stars
 from .spread import (
     candidate_counts,
@@ -220,7 +220,7 @@ def verify_approx(
                 "-",
                 "-",
                 "-",
-                SKIPPED if val is None else (PASS if val else "gated"),
+                SKIPPED if val is None else (PASS if val else GATED),
             )
         )
 
@@ -521,6 +521,6 @@ def check_dominance(a: SetFamily, s: SetFamily, t: int, eps, r=None) -> list[Rec
             "eps*r",
             24 * q,
             "-",
-            PASS if gate else "gated",
+            PASS if gate else GATED,
         ),
     ]

@@ -61,7 +61,10 @@ def encode_parts(p: Partition, u: PartsUniverse) -> ElementSet:
     """One universe element per block; the set size is the block count."""
     if u.kind != "parts" or u.n != p.n:
         raise DomainError("partition does not match the parts universe")
-    return ElementSet.from_indices(u, (u.index_of(b) for b in p.blocks))
+    mask = 0
+    for b in p.blocks:
+        mask |= 1 << u.index_of(b)
+    return ElementSet(u, mask)
 
 
 def decode_parts(es: ElementSet) -> Partition:
@@ -75,11 +78,11 @@ def encode_edges(p: Partition, u: EdgesUniverse) -> ElementSet:
     """All within-block pairs; size is sum over blocks of C(|block|, 2)."""
     if u.kind != "edges" or u.n != p.n:
         raise DomainError("partition does not match the edge universe")
-    idx = []
+    mask = 0
     for b in p.blocks:
         for pair in combinations(b, 2):
-            idx.append(u.index_of(pair))
-    return ElementSet.from_indices(u, idx)
+            mask |= 1 << u.index_of(pair)
+    return ElementSet(u, mask)
 
 
 def edges_to_subpartition(es: ElementSet) -> SubPartition:
@@ -152,23 +155,23 @@ def count_extensions(k: int, l: int, sizes: Sequence[int]) -> int:
 # family builders
 
 
+def _encode_family(partitions: Sequence[Partition], u, make_universe, encode):
+    if not partitions:
+        raise DomainError("cannot encode an empty list of partitions")
+    if u is None:
+        u = make_universe(partitions[0].n)
+    return u, SetFamily(u, [encode(p, u).mask for p in partitions])
+
+
 def encode_family_parts(
     partitions: Sequence[Partition], u: PartsUniverse | None = None
 ) -> tuple[PartsUniverse, SetFamily]:
     """Parts-encode a list of partitions, over a fresh lazy universe unless u is given."""
-    if not partitions:
-        raise DomainError("cannot encode an empty list of partitions")
-    if u is None:
-        u = PartsUniverse(partitions[0].n)
-    return u, SetFamily(u, [encode_parts(p, u).mask for p in partitions])
+    return _encode_family(partitions, u, PartsUniverse, encode_parts)
 
 
 def encode_family_edges(
     partitions: Sequence[Partition], u: EdgesUniverse | None = None
 ) -> tuple[EdgesUniverse, SetFamily]:
     """Edge-encode a list of partitions, over the full pair universe unless u is given."""
-    if not partitions:
-        raise DomainError("cannot encode an empty list of partitions")
-    if u is None:
-        u = EdgesUniverse(partitions[0].n)
-    return u, SetFamily(u, [encode_edges(p, u).mask for p in partitions])
+    return _encode_family(partitions, u, EdgesUniverse, encode_edges)

@@ -20,7 +20,7 @@ from . import guards
 class Partition:
     """A partition of [n] into disjoint nonempty blocks, canonically ordered."""
 
-    __slots__ = ("n", "blocks", "_block_masks")
+    __slots__ = ("n", "blocks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int | None = None):
         blocks = [tuple(sorted(b)) for b in blocks]
@@ -40,7 +40,6 @@ class Partition:
         blocks.sort(key=lambda b: b[0])
         self.n = n
         self.blocks = tuple(blocks)
-        self._block_masks = None
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
@@ -48,7 +47,6 @@ class Partition:
         p = object.__new__(cls)
         p.n = n
         p.blocks = blocks
-        p._block_masks = None
         return p
 
     @property
@@ -60,14 +58,6 @@ class Partition:
         p = object.__new__(Profile)
         p.sizes = tuple(sorted(map(len, self.blocks)))
         return p
-
-    def block_masks(self) -> tuple[int, ...]:
-        """Per-block bitmask with bit (e-1) set for element e."""
-        if self._block_masks is None:
-            self._block_masks = tuple(
-                sum(1 << (e - 1) for e in b) for b in self.blocks
-            )
-        return self._block_masks
 
     def __eq__(self, other) -> bool:
         return (
@@ -312,9 +302,5 @@ def partially_t_intersect(p: Partition, q: Partition, t: int) -> bool:
         raise DomainError("partitions over different ground sets")
     if t < 1:
         raise DomainError("partially_t_intersect needs t >= 1")
-    qmasks = q.block_masks()
-    for pm in p.block_masks():
-        for qm in qmasks:
-            if (pm & qm).bit_count() >= t:
-                return True
-    return False
+    qsets = [set(b) for b in q.blocks]
+    return any(len(qs.intersection(b)) >= t for b in p.blocks for qs in qsets)

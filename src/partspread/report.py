@@ -26,6 +26,7 @@ SKIPPED = "skipped"
 INFO = "info"
 FINDING = "finding"
 VACUOUS = "vacuous"
+GATED = "gated"
 
 
 def fmt(value) -> str:
@@ -68,6 +69,7 @@ class CheckReport:
     name: str
     params: dict
     points: list[Record] = field(default_factory=list)
+    gates: list[Record] = field(default_factory=list)
     verdict: str = PASS
     findings: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -77,32 +79,50 @@ class CheckReport:
         self.points.append(rec)
         return rec
 
+    def check(
+        self, params: dict, lhs, rhs, margin, holds: bool, asserted: bool = True, miss: str = FAIL
+    ) -> bool:
+        """Record one point: pass if it holds, else `miss`, and info where the
+        point is not asserted (its hypotheses fail).  Returns holds."""
+        self.add(params, lhs, rhs, margin, (PASS if holds else miss) if asserted else INFO)
+        return holds
+
     def compare(self, params: dict, lhs, rhs, asserted: bool = True, miss: str = FAIL) -> bool:
-        """Record lhs >= rhs with margin lhs/rhs - 1: pass or `miss`, info where not asserted."""
-        holds = lhs >= rhs
-        verdict = (PASS if holds else miss) if asserted else INFO
-        self.add(params, lhs, rhs, Fraction(lhs) / rhs - 1, verdict)
+        """`check` the point lhs >= rhs, with margin lhs/rhs - 1."""
+        return self.check(params, lhs, rhs, Fraction(lhs) / rhs - 1, lhs >= rhs, asserted, miss)
+
+    def gate(self, label: str, holds: bool) -> bool:
+        """Record the hypothesis gate `label`: pass if it holds, else gated.
+
+        Gate records print right after the head.  A gate asserts nothing, so
+        it never counts toward the head.  Returns holds.
+        """
+        self.gates.append(
+            Record.make(self.name, {"gate": label}, "-", "-", "-", PASS if holds else GATED)
+        )
         return holds
 
     def finalize(self) -> "CheckReport":
-        """Overall verdict: fail if a point fails, else finding if a point or `findings`
-        reports one, else vacuous if a point is vacuous, else pass."""
+        """Set the head from the points, gates aside: fail if a point fails,
+        else finding if a point or `findings` reports one, else vacuous if a
+        point is vacuous or no point asserts anything (every one is info or
+        gated, or there is none), else pass."""
         verdicts = {r.verdict for r in self.points}
         if FAIL in verdicts:
             self.verdict = FAIL
         elif FINDING in verdicts or self.findings:
             self.verdict = FINDING
-        elif VACUOUS in verdicts:
+        elif VACUOUS in verdicts or verdicts <= {INFO, GATED}:
             self.verdict = VACUOUS
         else:
             self.verdict = PASS
         return self
 
     def records(self) -> list[Record]:
-        """The head record with the overall verdict, then the points, then the notes."""
+        """The head record with the overall verdict, then the gates, the points and the notes."""
         head = Record.make(self.name, self.params, "-", "-", "-", self.verdict)
         notes = [Record.make(self.name + "-note", {}, "-", "-", n, INFO) for n in self.notes]
-        return [head] + self.points + notes
+        return [head] + self.gates + self.points + notes
 
 
 def records_to_text(records: list[Record]) -> str:

@@ -37,10 +37,11 @@ class PartsUniverse:
 
     def index_of(self, part: Iterable[int]) -> int:
         key = frozenset(part)
-        if not key or not all(1 <= e <= self.n for e in key):
-            raise DomainError(f"block {sorted(key)} is not a nonempty subset of [{self.n}]")
         got = self._index.get(key)
         if got is None:
+            # only valid blocks are registered, so a known block needs no check
+            if not key or not all(1 <= e <= self.n for e in key):
+                raise DomainError(f"block {sorted(key)} is not a nonempty subset of [{self.n}]")
             got = len(self._parts)
             self._index[key] = got
             self._parts.append(key)

@@ -36,7 +36,7 @@ from .partitions import (
     tilde_bell,
     u_count,
 )
-from .report import FAIL, FINDING, INFO, PASS, VACUOUS, CheckReport
+from .report import FAIL, FINDING, GATED, INFO, VACUOUS, CheckReport
 from .setfam import ElementSet, SetFamily
 from .spread import candidate_counts, is_r_spread, spread_factor, spread_from_counts, weak_spread
 from . import guards
@@ -78,7 +78,7 @@ def check_dobinski(n: int, s_max: int) -> CheckReport:
     b = bell(n)
     lo, hi = total / e_hi, total / e_lo
     rel = max(abs(lo - b), abs(hi - b)) / b
-    rep.add({"n": n, "s_max": s_max}, lo, b, rel, PASS if rel <= Fraction(1, 10**9) else FAIL)
+    rep.check({"n": n, "s_max": s_max}, lo, b, rel, rel <= Fraction(1, 10**9))
     return rep.finalize()
 
 
@@ -117,17 +117,9 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
             if at_least_log2(Fraction(n - 1, 2 * l), n):
                 rep.compare({"l": l, "n": n}, stirling2(n, l), n * n * stirling2(n - 1, l - 1))
             else:
-                rep.add({"l": l, "n": n}, "-", "-", "-", "gated")
-    return _vacuous_unless_asserted(
-        rep.finalize(), rep.points, "every point fails the gate: no inequality was checked"
-    )
-
-
-def _vacuous_unless_asserted(rep: CheckReport, points, note: str) -> CheckReport:
-    """Mark rep vacuous, with note, when every one of points is info or gated."""
-    if all(p.verdict in (INFO, "gated") for p in points):
-        rep.verdict = VACUOUS
-        rep.notes.append(note)
+                rep.add({"l": l, "n": n}, "-", "-", "-", GATED)
+    if rep.finalize().verdict == VACUOUS:
+        rep.notes.append("every point fails the gate: no inequality was checked")
     return rep
 
 
@@ -199,9 +191,8 @@ def _weak_spread_point(
 ) -> None:
     """Direct weak spreadness of fam at t against threshold (None: no threshold)."""
     _, rweak, _ = weak_spread(fam, t)
-    ok = threshold is not None and rweak >= ExactPow(threshold)
-    verdict = (PASS if ok else FAIL) if asserted else INFO
-    rep.add(params, f"{float(rweak):.6g}", threshold, "-", verdict)
+    holds = threshold is not None and rweak >= ExactPow(threshold)
+    rep.check(params, f"{float(rweak):.6g}", threshold, "-", holds, asserted)
 
 
 def _spreadness_bell(n, t, mode) -> CheckReport:
@@ -215,13 +206,13 @@ def _spreadness_bell(n, t, mode) -> CheckReport:
         _, fam = encode_family_parts(enumerate_partitions(n))
         rstar = spread_factor(fam).r_star
         if threshold:
-            ok = rstar >= ExactPow(threshold)
-            rep.add(
+            ok = rep.check(
                 {"n": n, "claim": "r0-spread", "gate_n_ge_50": gate},
                 f"{float(rstar):.6g}",
                 threshold,
                 "-",
-                (PASS if ok else FAIL) if gate else INFO,
+                rstar >= ExactPow(threshold),
+                gate,
             )
             if not gate:
                 rep.notes.append(
@@ -250,8 +241,10 @@ def _spreadness_blocks(n, l, t, mode) -> CheckReport:
     if not 1 <= t <= l - 1 or l > n:
         raise DomainError("blocks setting needs 1 <= t < l <= n")
     rep = CheckReport("encoded-spreadness-blocks", {"n": n, "l": l, "t": t, "mode": mode})
-    gate = t <= l - 2 and at_least_log2(Fraction(n, 2 * l), n) and n >= 48
-    rep.add({"gate": "t<=l-2,n>=2l*log2(n),n>=48"}, "-", "-", "-", PASS if gate else "gated")
+    gate = rep.gate(
+        "t<=l-2,n>=2l*log2(n),n>=48",
+        t <= l - 2 and at_least_log2(Fraction(n, 2 * l), n) and n >= 48,
+    )
     threshold = Fraction(n * n, 2)
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_into_blocks(n, l))
@@ -283,8 +276,7 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
         "encoded-spreadness-profiled",
         {"l": l, "t": t, "mode": mode, "profile": "uniform" if len(set(sizes)) == 1 else "mixed"},
     )
-    gate = t <= l // 2 and sizes[t] >= 2
-    rep.add({"gate": "t<=l/2,k_(t+1)>=2"}, "-", "-", "-", PASS if gate else "gated")
+    gate = rep.gate("t<=l/2,k_(t+1)>=2", t <= l // 2 and sizes[t] >= 2)
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_profiled(profile))
         _weak_spread_point(rep, {"claim": "weak-spread"}, fam, t, Fraction(l * l, 12), gate)
@@ -322,9 +314,9 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
     if k is None or l is None or k < 2 or l < 1:
         raise DomainError("kl-edges setting needs k >= 2 and l >= 1")
     rep = CheckReport("encoded-spreadness-kl-edges", {"k": k, "l": l, "mode": mode})
-    rep.add({"gate": "k>=3"}, "-", "-", "-", PASS if k >= 3 else "gated")
-    vacuous = l <= 9
-    if vacuous:
+    rep.gate("k>=3", k >= 3)
+    asserted = l > 9
+    if not asserted:
         rep.notes.append(f"l = {l} <= 9 makes (9/l)^m >= 1: the bound is vacuous")
     # each bound has a linear variant, claimed for m <= kl/3, and a cube-root
     # variant, claimed for every m; power is the exponent of the count ratio
@@ -337,13 +329,9 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
         counts = candidate_counts(fam)
         rstar = spread_from_counts(fam, counts).r_star
         threshold = ExactPow(Fraction(l, 9), Fraction(2, 3 * k))
-        ok = rstar >= threshold
-        rep.add(
-            {"claim": "spread"},
-            f"{float(rstar):.6g}",
-            f"(l/9)^(2/{3 * k})",
-            "-",
-            PASS if ok else FAIL,
+        rep.check(
+            {"claim": "spread"}, f"{float(rstar):.6g}", f"(l/9)^(2/{3 * k})", "-",
+            rstar >= threshold,
         )
         # per-candidate scan: |F(E)| * l^m <= 9^m |F|
         scan = [
@@ -361,12 +349,13 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
                 ),
                 default=None,
             )
-            rep.add(
+            rep.check(
                 {"claim": claim, "candidates": len(counts)},
                 lhs_text,
                 1,
                 worst - 1 if worst is not None else "-",
-                (PASS if worst is None or worst >= 1 else FAIL) if not vacuous else INFO,
+                worst is None or worst >= 1,
+                asserted,
             )
     if mode in ("formula", "both"):
         u_full = u_count(k, l)
@@ -382,16 +371,17 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
                 # |F(X)|^power l^m <= |F|^power 9^m
                 lhs_x = ext**power * l**m_x
                 rhs_x = u_full**power * 9**m_x
-                rep.add(
+                rep.check(
                     {"shape": "+".join(map(str, shape)), "m": m_x, "claim": claim},
                     Fraction(ext, u_full),
                     rhs,
                     Fraction(rhs_x, lhs_x) - 1 if lhs_x else "-",
-                    (PASS if lhs_x <= rhs_x else FAIL) if not vacuous else INFO,
+                    lhs_x <= rhs_x,
+                    asserted,
                 )
-    return _vacuous_unless_asserted(
-        rep.finalize(), rep.points[1:], "every bound point is info: no inequality was checked"
-    )
+    if rep.finalize().verdict == VACUOUS:
+        rep.notes.append("every bound point is info: no inequality was checked")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +445,14 @@ def check_random_containment(
         rep.add({"claim": "closed-form"}, estimate, closed, estimate - closed, INFO)
 
     stderr_sq = estimate * (1 - estimate) / trials
+    params = {
+        "claim": "containment", "estimate": float(estimate), "stderr": float(stderr_sq) ** 0.5
+    }
     if bound is None or bound <= 0:
-        verdict, margin = VACUOUS, "-"
+        rep.add(params, estimate, "undefined" if bound is None else bound, "-", VACUOUS)
     else:
         margin = estimate - bound
-        verdict = PASS if margin >= 0 and margin * margin >= 9 * stderr_sq else FAIL
-    rep.add(
-        {"claim": "containment", "estimate": float(estimate), "stderr": float(stderr_sq) ** 0.5},
-        estimate,
-        bound if bound is not None else "undefined",
-        margin,
-        verdict,
-    )
+        rep.check(params, estimate, bound, margin, margin >= 0 and margin * margin >= 9 * stderr_sq)
     return rep.finalize()
 
 
@@ -589,13 +575,12 @@ def check_nonintersect_count(
     )
     # count >= l^(-2k^2) u  <=>  count * l^(2k^2) >= u
     lhs = count * l ** (2 * k * k)
-    ok = lhs >= u_full
-    rep.add(
+    rep.check(
         {"Y": repr(y), "count": count, "of": size},
         Fraction(count),
         Fraction(u_full, l ** (2 * k * k)),
         Fraction(lhs - u_full, l ** (2 * k * k)),
-        PASS if ok else FAIL,
+        lhs >= u_full,
     )
     rep.notes.append(
         f"count is {count}/{size} of the canonical family"

@@ -324,6 +324,22 @@ def test_kl_edges_formula_at_small_l_reports_vacuous(capsys):
     assert lines[-1][4:] == ["every bound point is info: no inequality was checked", "info"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify spreadness --setting bell --n 1",
+        "verify spreadness --setting bell --n 6 --mode direct",
+        "verify spreadness --setting blocks --n 6 --l 3 --t 1",
+        "verify spreadness --setting profiled --profile 2,2,2,2,2 --t 3",
+    ],
+)
+def test_reports_asserting_nothing_read_vacuous(capsys, argv):
+    code, out = run_cli(capsys, *argv.split(), "--format", "structured-records")
+    verdicts = [line.split("\t")[-1] for line in out.splitlines()]
+    assert code == 0
+    assert verdicts[0] == "vacuous" and set(verdicts[1:]) <= {"info", "gated"}
+
+
 def test_kl_edges_direct_scan_refused_before_enumerating(capsys, monkeypatch):
     def unreachable(profile):
         raise AssertionError("enumerated before the candidate guard")
@@ -536,17 +552,17 @@ PROFILE_200 = ",".join(["2"] * 200)
         ("verify stirling-growth --l-max 3 --n-cap 40 --format structured-records", 0,
          "0b2bc5b81b68cd087f6e4aa20d91a16339ee350b0703ec16cbc5cbb8817e386a"),
         ("verify spreadness --setting bell --n 6 --t 2", 0,
-         "7168b390bd53fedd42f0f7fa5ebf033c03ba208391f652535b78feac3625ad81"),
+         "4d34330dbc9f145d0bfd537c063ba6634765b2a4516d7cf9e3dea0dcf33421c0"),
         ("verify spreadness --setting bell --n 6 --t 2 --format structured-records", 0,
-         "98cbef7d547200a07db56c86fbcbc7ad1af3ba7580ae89cae3506fead6722bf5"),
+         "ed1e59b19301b2390504b8e43794adc865c493bed9d2ed341498d0dfab6f74c6"),
         ("verify spreadness --setting bell --n 50 --mode formula", 0,
          "9dfc602a6a4dfb324de1c8086c6d82ed5d61764c4dc4f4331027cabc756d5a78"),
         ("verify spreadness --setting bell --n 50 --mode formula --format structured-records", 0,
          "65cf96f4b4816e0f2b6a02a21afc7430642205994c99d5fa70d488407b7b7eef"),
         ("verify spreadness --setting blocks --n 7 --l 4 --t 1", 0,
-         "e708b2c44ae25f8dc528ae27aba6762a2bd850cd1bedbd9e4082bf0bf9efc89c"),
+         "bd1f988f4da674844fe261a8c08262b9089758b2d8a8a28454190fa2bb9c8148"),
         ("verify spreadness --setting blocks --n 7 --l 4 --t 1 --format structured-records", 0,
-         "133429eb53e74c69f461139c8e4137f6f62326daa44e3c1f01df4d74460def48"),
+         "c2f92849f163eb540655087871436f4a1ac0be07ad61cd10990f116c2615f23c"),
         ("verify spreadness --setting blocks --n 60 --l 4 --t 1 --mode formula", 0,
          "1a6f4c342bbab09bf4d504cfaf3d76fdea8c631f92dc844362c1f9b9f7be2cb1"),
         ("verify spreadness --setting blocks --n 60 --l 4 --t 1 --mode formula "
@@ -615,7 +631,8 @@ PROFILE_200 = ",".join(["2"] * 200)
 def test_verify_output_pinned(capsys, tmp_path, argv, code, digest):
     # sha256 of the verify reports before their checks shared CheckReport.compare
     # (the later containment digests: from the per-trial Generator sampler,
-    # before the sampler read raw Philox words)
+    # before the sampler read raw Philox words; bell --n 6 --t 2 and blocks
+    # --n 7 --l 4 --t 1: since a report that asserts nothing reads vacuous)
     singletons = tmp_path / "singletons.txt"
     singletons.write_text("N 4096\n" + "".join(f"{i}\n" for i in range(4096)), encoding="utf-8")
     assert main(argv.format(singletons=singletons).split()) == code

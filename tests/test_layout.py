@@ -1,11 +1,13 @@
 """Source layout rules: no run-time writes to guards, no private cross-module imports,
-no refusal built outside guards.require, and numpy imported by the containment
-sampler alone."""
+no refusal built outside guards.require, numpy imported by the containment
+sampler alone, and verdict values spelled by the report constants alone."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from partspread.report import FAIL, FINDING, GATED, INFO, PASS, SKIPPED, VACUOUS
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "partspread").glob("*.py"))
 
@@ -13,6 +15,9 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "partspread").gl
 # the one function that may import numpy, inside its body: every other command
 # would pay numpy's import time
 NUMPY_HOME = ("verify.py", "_random_subsets")
+
+# outside report.py a verdict is named by its constant, so that one module owns them
+VERDICTS = {FAIL, FINDING, GATED, INFO, PASS, SKIPPED, VACUOUS}
 
 
 def _is_guards(node) -> bool:
@@ -37,7 +42,22 @@ def _violations(tree: ast.AST, name: str = "") -> list[str]:
         if isinstance(node, ast.FunctionDef) and (name, node.name) == NUMPY_HOME
         for inner in ast.walk(node)
     }
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
     for node in ast.walk(tree):
+        if (
+            name != "report.py"
+            and isinstance(node, ast.Constant)
+            and node.value in VERDICTS
+            and id(node) not in docstrings
+        ):
+            found.append(f"line {node.lineno}: spells the verdict {node.value!r}")
         if _imports_numpy(node) and id(node) not in numpy_home:
             found.append(f"line {node.lineno}: imports numpy outside verify._random_subsets")
         targets = []
@@ -100,3 +120,13 @@ def test_layout_rules_catch_violations():
     )
     assert len(_violations(ast.parse(numpy_use), "verify.py")) == 3
     assert len(_violations(ast.parse(numpy_use), "spread.py")) == 5
+    verdicts = (
+        '"""pass"""\n'
+        "def check():\n"
+        '    "gated"\n'
+        '    return Record.make("c", {}, "-", "-", "-", "pass" if ok else GATED)\n'
+        'PASS = "pass"\n'
+        'NOTE = "passes"\n'
+    )
+    assert len(_violations(ast.parse(verdicts), "verify.py")) == 2
+    assert _violations(ast.parse(verdicts), "report.py") == []

@@ -61,12 +61,14 @@ def test_compare_records_lhs_at_least_rhs():
 @pytest.mark.parametrize(
     "verdicts, findings, overall",
     [
-        ((), False, "pass"),
+        ((), False, "vacuous"),
         (("pass", "info", "gated"), False, "pass"),
         (("pass", "vacuous"), False, "vacuous"),
         (("pass",), True, "finding"),
         (("vacuous", "finding"), False, "finding"),
         (("finding", "fail", "vacuous"), True, "fail"),
+        (("pass",), False, "pass"),
+        (("info", "gated"), False, "vacuous"),
     ],
 )
 def test_finalize_takes_the_worst_point(verdicts, findings, overall):
@@ -76,6 +78,21 @@ def test_finalize_takes_the_worst_point(verdicts, findings, overall):
     if findings:
         rep.findings.append("note")
     assert rep.finalize().verdict == overall
+
+
+def test_gates_assert_nothing():
+    rep = CheckReport("c", {})
+    assert rep.gate("g", True) is True
+    assert rep.check({"i": 0}, 2, 1, "-", True, asserted=False) is True
+    assert rep.check({"i": 1}, 1, 2, "-", False, asserted=False) is False
+    # a pass gate and only info points: nothing was asserted
+    assert rep.finalize().verdict == "vacuous"
+    assert [r.verdict for r in rep.records()] == ["vacuous", "pass", "info", "info"]
+    # one asserted pass point keeps the head pass, whatever the gates read
+    rep = CheckReport("c", {})
+    rep.gate("g", False)
+    rep.check({}, 2, 1, "-", True)
+    assert rep.finalize().verdict == "pass"
 
 
 def test_dobinski_examples():
@@ -131,19 +148,27 @@ def test_spreadness_bell_direct():
     point = [p for p in rep.points if "r0-spread" in p.params][0]
     assert point.verdict == "info"  # n=5 is below the n >= 50 gate
     assert rep.notes  # informational note mentions the gate
-    assert rep.verdict in ("pass", "finding")
+    assert rep.verdict == "vacuous"  # no point is asserted
+
+
+def test_spreadness_bell_n1_asserts_nothing():
+    # ln 1 = 0 leaves no threshold, so there is no point at all
+    rep = check_encoded_spreadness("bell", n=1)
+    assert rep.points == [] and rep.verdict == "vacuous"
 
 
 def test_spreadness_bell_formula():
     rep = check_encoded_spreadness("bell", n=30, mode="formula")
-    # all points informational below the gate, none failing
-    assert rep.verdict == "pass"
-    assert all(p.verdict in ("info", "pass") for p in rep.points)
+    # all points informational below the gate: nothing is asserted
+    assert rep.verdict == "vacuous"
+    assert {p.verdict for p in rep.points} == {"info"}
 
 
 def test_spreadness_blocks():
     rep = check_encoded_spreadness("blocks", n=6, l=4, t=2, mode="both")
-    assert rep.verdict == "pass"
+    # t = l - 2 fails the gate, so every point is info
+    assert [g.verdict for g in rep.gates] == ["gated"]
+    assert rep.verdict == "vacuous"
     with pytest.raises(DomainError):
         check_encoded_spreadness("blocks", n=6, l=7, t=1)
 
@@ -153,8 +178,9 @@ def test_spreadness_blocks_formula_inside_gate():
     # endpoint are asserted rather than informational
     rep = check_encoded_spreadness("blocks", n=48, l=3, t=1, mode="formula")
     assert rep.verdict == "pass"
-    gate = [p for p in rep.points if "gate" in p.params][0]
-    assert gate.verdict == "pass"
+    assert [(g.params, g.verdict) for g in rep.gates] == [
+        ("gate=t<=l-2,n>=2l*log2(n),n>=48", "pass")
+    ]
     asserted = [p for p in rep.points if "claim=" in p.params]
     assert asserted and all(p.verdict == "pass" for p in asserted)
 
@@ -172,6 +198,14 @@ def test_spreadness_profiled_direct_small():
         "profiled", profile=Profile((2, 2, 2, 2)), t=1, mode="direct"
     )
     assert rep.verdict in ("pass", "finding")
+
+
+def test_spreadness_profiled_gated_is_vacuous():
+    # t = 3 > l/2 fails the gate: every point is info and the head says so
+    rep = check_encoded_spreadness("profiled", profile=Profile((2,) * 5), t=3)
+    assert [g.verdict for g in rep.gates] == ["gated"]
+    assert {p.verdict for p in rep.points} == {"info"}
+    assert rep.verdict == "vacuous" and not rep.findings
 
 
 def test_spreadness_profiled_formula_conventions():
@@ -201,7 +235,7 @@ def test_spreadness_kl_edges_formula_at_small_l_is_vacuous():
     note = "every bound point is info: no inequality was checked"
     for k, l in ((2, 3), (3, 3), (2, 9)):
         rep = check_encoded_spreadness("kl-edges", k=k, l=l, mode="formula")
-        assert {p.verdict for p in rep.points[1:]} == {"info"}
+        assert {p.verdict for p in rep.points} == {"info"}
         assert rep.verdict == "vacuous" and rep.notes[-1] == note
     # a checked point keeps the head pass
     for k, l, mode in ((2, 10, "formula"), (2, 3, "both"), (2, 3, "direct")):
