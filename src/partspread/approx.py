@@ -40,6 +40,9 @@ class PeelStep:
 
 @dataclass
 class ApproxResult:
+    family: SetFamily  # the family peeled, at spread r and core size cap q
+    r: Fraction
+    q: int
     cores: list[ElementSet]
     core_families: list[SetFamily]
     remainder: SetFamily
@@ -107,24 +110,18 @@ def spread_approximate(f: SetFamily, r, q: int) -> ApproxResult:
         trace.append(PeelStep(s_i, size, Fraction(size) / r**s_i.size, held.bit_count()))
         alive &= ~held
     fams = [SetFamily(f.universe, [f.masks[i] for i in mask_indices(b)]) for b in peeled + [alive]]
-    return ApproxResult(cores, fams[:-1], fams[-1], trace, oversized)
+    return ApproxResult(f, r, q, cores, fams[:-1], fams[-1], trace, oversized)
 
 
-def verify_approx(
-    res: ApproxResult,
-    f: SetFamily,
-    a: SetFamily,
-    r,
-    r0,
-    q: int,
-    t: int,
-) -> list[Record]:
+def verify_approx(res: ApproxResult, a: SetFamily, r0, t: int) -> list[Record]:
     """Check every guaranteed property of a peeling run, all exactly, as records.
 
-    Conclusions and hypothesis gates are evaluated independently: when the
-    gates fail the conclusions may still hold and both facts are reported.
+    The run is checked at the family, r and q it was peeled with, against
+    the ambient family a.  Conclusions and hypothesis gates are evaluated
+    independently: when the gates fail the conclusions may still hold and
+    both facts are reported.
     """
-    r = as_fraction(r)
+    f, r, q = res.family, res.r, res.q
     r0 = as_fraction(r0)
     if r0 <= 0:
         raise DomainError("verify_approx needs r0 > 0")

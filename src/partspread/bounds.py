@@ -51,7 +51,6 @@ def ln2_enclosure(eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     return 2 * lo, 2 * hi
 
 
-@lru_cache(maxsize=None)
 def ln_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     """Rational lo <= ln(x) <= hi with hi - lo < eps, for rational x > 0."""
     x = Fraction(x)
@@ -72,7 +71,6 @@ def ln_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fr
     return a * l2lo + 2 * alo, a * l2hi + 2 * ahi
 
 
-@lru_cache(maxsize=None)
 def log2_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log2(x) for rational x > 0."""
     x = Fraction(x)
@@ -83,7 +81,6 @@ def log2_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, 
     return lo, hi
 
 
-@lru_cache(maxsize=None)
 def e_enclosure(eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     """Rational lo <= e <= hi from the factorial series with tail bound."""
     total = Fraction(0)

@@ -285,7 +285,7 @@ def _run_approximate(args) -> list[Record]:
     res = spread_approximate(fam, r, args.q)
     recs = res.records()
     if checked:
-        recs += verify_approx(res, fam, ambient, r, r0, args.q, args.t)
+        recs += verify_approx(res, ambient, r0, args.t)
     return recs
 
 

@@ -421,16 +421,11 @@ def run_catalog(text: str) -> list[Record]:
             # the catalog prints only the sizes: no uniqueness search
             universe, res, reference = _conjecture_step(k, l, t, enumerate_all=False)
             observed = len(universe) if res is None else res.max_size
-        elif setting == "bell":
-            res = max_compatible_family(enumerate_partitions(n), "t-intersect", t)
-            observed = res.max_size
-            reference = bell(n - t)
-        elif setting == "blocks":
-            res = max_compatible_family(
-                enumerate_into_blocks(n, l), "t-intersect", t
-            )
-            observed = res.max_size
-            reference = stirling2(n - t, l - t)
+        elif setting in ("bell", "blocks"):
+            universe = enumerate_partitions(n) if setting == "bell" else enumerate_into_blocks(n, l)
+            observed = max_compatible_family(universe, "t-intersect", t).max_size
+            # after the oracle, so that its vertex guard refuses first
+            reference = canonical_family(CanonicalSpec(setting, n=n, l=l or 0, t=t))[1]
         else:
             raise DomainError(f"catalog line {lineno}: unknown setting {setting!r}")
         if expected is None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -143,23 +142,12 @@ def stirling2(n: int, l: int) -> int:
     return total // math.factorial(l)
 
 
-@lru_cache(maxsize=None)
 def tilde_bell(n: int) -> int:
-    """Partitions of [n] with every block of size at least 2.
-
-    Recurrence conditions on the block containing the largest element:
-    tB_{n+1} = sum_{i=0, i != 1}^{n-1} C(n, i) tB_i, with tB_0 = 1, tB_1 = 0.
-    The i = 0 term (the block is all of [n+1]) is required; without it the
-    recurrence gives tB_3 = 0 instead of 1.
-    """
+    """Partitions of [n] with every block of size at least 2: those sharing
+    no block with the partition into singletons."""
     if n < 0:
         raise DomainError("tilde_bell(n) needs n >= 0")
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    m = n - 1  # previous ground-set size in the recurrence
-    return sum(math.comb(m, i) * tilde_bell(i) for i in range(m) if i != 1)
+    return count_derangements(Partition._trusted(n, tuple((e,) for e in range(1, n + 1))))
 
 
 def count_profiled(p: Profile) -> int:

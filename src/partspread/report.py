@@ -70,7 +70,6 @@ class CheckReport:
     params: dict
     points: list[Record] = field(default_factory=list)
     gates: list[Record] = field(default_factory=list)
-    verdict: str = PASS
     findings: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -102,21 +101,20 @@ class CheckReport:
         )
         return holds
 
-    def finalize(self) -> "CheckReport":
-        """Set the head from the points, gates aside: fail if a point fails,
+    @property
+    def verdict(self) -> str:
+        """The head, from the points with gates aside: fail if a point fails,
         else finding if a point or `findings` reports one, else vacuous if a
         point is vacuous or no point asserts anything (every one is info or
         gated, or there is none), else pass."""
         verdicts = {r.verdict for r in self.points}
         if FAIL in verdicts:
-            self.verdict = FAIL
-        elif FINDING in verdicts or self.findings:
-            self.verdict = FINDING
-        elif VACUOUS in verdicts or verdicts <= {INFO, GATED}:
-            self.verdict = VACUOUS
-        else:
-            self.verdict = PASS
-        return self
+            return FAIL
+        if FINDING in verdicts or self.findings:
+            return FINDING
+        if VACUOUS in verdicts or verdicts <= {INFO, GATED}:
+            return VACUOUS
+        return PASS
 
     def records(self) -> list[Record]:
         """The head record with the overall verdict, then the gates, the points and the notes."""

@@ -59,7 +59,7 @@ def check_bell_ratio(n_max: int) -> CheckReport:
     for n in range(2, n_max + 1):
         ln_lo = ln_enclosure(Fraction(n))[0]
         rep.compare({"n": n}, 2 * bell(n + 1) * ln_lo, n * bell(n))
-    return rep.finalize()
+    return rep
 
 
 def check_dobinski(n: int, s_max: int) -> CheckReport:
@@ -79,7 +79,7 @@ def check_dobinski(n: int, s_max: int) -> CheckReport:
     lo, hi = total / e_hi, total / e_lo
     rel = max(abs(lo - b), abs(hi - b)) / b
     rep.check({"n": n, "s_max": s_max}, lo, b, rel, rel <= Fraction(1, 10**9))
-    return rep.finalize()
+    return rep
 
 
 def check_no_singleton_bound(s_max: int) -> CheckReport:
@@ -88,7 +88,7 @@ def check_no_singleton_bound(s_max: int) -> CheckReport:
     Logs are replaced by rational lower bounds, which only enlarges the
     right-hand side, so a pass certifies the printed product bound.  Any
     violation is recorded as a finding rather than a failure: the counts on
-    the left come from the corrected no-singleton recurrence.
+    the left are exact, where the paper's no-singleton recurrence is not.
     """
     if s_max < 2:
         raise DomainError("check_no_singleton_bound needs s_max >= 2")
@@ -99,7 +99,7 @@ def check_no_singleton_bound(s_max: int) -> CheckReport:
         # extend the product with the i = s factor for the next step
         ln_lo = ln_enclosure(Fraction(s + 1))[0]
         product *= (1 - 2 * ln_lo / (s + 1)) * (1 - Fraction(2 * s + 2, 3**s))
-    return rep.finalize()
+    return rep
 
 
 def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
@@ -118,7 +118,7 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
                 rep.compare({"l": l, "n": n}, stirling2(n, l), n * n * stirling2(n - 1, l - 1))
             else:
                 rep.add({"l": l, "n": n}, "-", "-", "-", GATED)
-    if rep.finalize().verdict == VACUOUS:
+    if rep.verdict == VACUOUS:
         rep.notes.append("every point fails the gate: no inequality was checked")
     return rep
 
@@ -232,7 +232,7 @@ def _spreadness_bell(n, t, mode) -> CheckReport:
                 {"n": n, "s": s, "claim": "ratio-chain"},
                 Fraction(bell(n), bell(n - s)), threshold**s, asserted=gate,
             )
-    return rep.finalize()
+    return rep
 
 
 def _spreadness_blocks(n, l, t, mode) -> CheckReport:
@@ -260,7 +260,7 @@ def _spreadness_blocks(n, l, t, mode) -> CheckReport:
             )
         # endpoint s = l - t: 2^(n-l+1) >= n^4
         rep.compare({"s": l - t, "claim": "endpoint"}, 2 ** (n - l + 1), n**4, asserted=gate)
-    return rep.finalize()
+    return rep
 
 
 def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
@@ -307,7 +307,7 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
                 f"s in {mismatches[:10]}{'...' if len(mismatches) > 10 else ''}; "
                 "the printed chain is the asserted one"
             )
-    return rep.finalize()
+    return rep
 
 
 def _spreadness_kl_edges(k, l, mode) -> CheckReport:
@@ -379,7 +379,7 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
                     lhs_x <= rhs_x,
                     asserted,
                 )
-    if rep.finalize().verdict == VACUOUS:
+    if rep.verdict == VACUOUS:
         rep.notes.append("every bound point is info: no inequality was checked")
     return rep
 
@@ -453,7 +453,7 @@ def check_random_containment(
     else:
         margin = estimate - bound
         rep.check(params, estimate, bound, margin, margin >= 0 and margin * margin >= 9 * stderr_sq)
-    return rep.finalize()
+    return rep
 
 
 def _word_rule(num: int, den: int, bits: int) -> tuple[int, int]:
@@ -585,4 +585,4 @@ def check_nonintersect_count(
     rep.notes.append(
         f"count is {count}/{size} of the canonical family"
     )
-    return rep.finalize()
+    return rep

@@ -169,7 +169,7 @@ def test_criterion_06_peeling_guarantees():
     corpus.append((star, star, 2**13 + 1, 2**14, 2, 1))
     for f, a, r, r0, q, t in corpus:
         res = spread_approximate(f, r, q)
-        recs = verify_approx(res, f, a, r, r0, q, t)
+        recs = verify_approx(res, a, r0, t)
         assert [rec.verdict for rec in select(recs, "approx-coverage")] == ["pass"]
         assert all(rec.verdict == "pass" for rec in select(recs, "approx-core-spread"))
         assert [rec.verdict for rec in select(recs, "approx-conservation")] == ["pass"]

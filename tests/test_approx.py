@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -95,7 +96,7 @@ def ref_spread_approximate(f: SetFamily, r, q: int) -> ApproxResult:
         trace.append(PeelStep(s_i, cur.size, Fraction(cur.size) / r**s_i.size, star.size))
         star_masks = set(star.masks)
         cur = SetFamily(cur.universe, (m for m in cur.masks if m not in star_masks))
-    return ApproxResult(cores, fams, cur, trace, oversized)
+    return ApproxResult(f, r, q, cores, fams, cur, trace, oversized)
 
 
 def assert_peel_matches_reference(f: SetFamily, r, q: int) -> None:
@@ -190,7 +191,7 @@ def test_absorb_guard_counts_the_restriction():
 def test_verify_approx_conclusions():
     f = family_of(4, {0, 1}, {0, 2}, {0, 3})
     res = spread_approximate(f, 2, 2)
-    recs = verify_approx(res, f, f, 2, 4, 2, 1)
+    recs = verify_approx(res, f, 4, 1)
     assert verdicts(recs, "approx-coverage") == ["pass"]
     assert verdicts(recs, "approx-core-spread") == ["pass"] * 3
     assert verdicts(recs, "approx-remainder") == ["pass"]  # empty remainder passes trivially
@@ -199,7 +200,7 @@ def test_verify_approx_conclusions():
     # r = 2 is far below the spreadness gate and below 2q = 4
     assert gate_verdicts(recs) == ["gated", "gated", "pass"]
     # an ambient family that misses peeled members does not cover them
-    recs = verify_approx(res, f, family_of(4, {0, 1}), 2, 4, 2, 1)
+    recs = verify_approx(res, family_of(4, {0, 1}), 4, 1)
     assert verdicts(recs, "approx-coverage") == ["fail"]
 
 
@@ -208,7 +209,7 @@ def test_verify_approx_gates_hold_case():
     f = family_of(3, {1})
     r = 2**13
     res = spread_approximate(f, r, 1)
-    recs = verify_approx(res, f, f, r, 2**14, 1, 1)
+    recs = verify_approx(res, f, 2**14, 1)
     assert gate_verdicts(recs) == ["pass"] * 3
     for name in (
         "approx-cores-t-intersect",
@@ -223,9 +224,9 @@ def test_verify_approx_gates_hold_case():
 def test_verify_approx_integrity():
     f = family_of(4, {0, 1}, {0, 2})
     res = spread_approximate(f, 2, 2)
-    other = family_of(4, {0, 1}, {1, 2})
+    corrupted = dataclasses.replace(res, remainder=family_of(4, {1, 2}))
     with pytest.raises(IntegrityError):
-        verify_approx(res, other, other, 2, 4, 2, 1)
+        verify_approx(corrupted, f, 4, 1)
 
 
 def test_peeling_canonical_partial_family_inside_ambient():
@@ -243,7 +244,7 @@ def test_peeling_canonical_partial_family_inside_ambient():
     assert res.remainder.size == 0
     for core in res.cores:
         assert t_edge in core
-    recs = verify_approx(res, f, ambient, 2, 4, 4, 1)
+    recs = verify_approx(res, ambient, 4, 1)
     assert verdicts(recs, "approx-coverage") == ["pass"]
     assert set(verdicts(recs, "approx-core-spread")) == {"pass"}
     assert verdicts(recs, "approx-conservation") == ["pass"]
@@ -375,7 +376,7 @@ def test_candidate_guard_skips_scans():
         # the ambient r0-spreadness gate is skipped; the small core checks still run
         f = family_of(5, {0, 1}, {0, 2})
         res = spread_approximate(f, 2, 2)
-        recs = verify_approx(res, f, ksubsets_family(5, 2), 2, 4, 2, 1)
+        recs = verify_approx(res, ksubsets_family(5, 2), 4, 1)
         assert verdicts(recs, "approx-gate", gate="gate-ambient-r0-spread") == ["skipped"]
         with pytest.raises(ResourceLimitError, match="SPREAD_CANDIDATE_MAX"):
             check_dominance(ksubsets_family(5, 2), family_of(5, {0, 1}), 1, 1)

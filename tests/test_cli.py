@@ -25,6 +25,12 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def pinned(names: str, cases: list):
+    """Parametrize pinned-report cases, each ending in its sha256 digest, with
+    ids from the other fields, so that re-taking a digest keeps the test's id."""
+    return pytest.mark.parametrize(names, cases, ids=["-".join(map(str, c[:-1])) for c in cases])
+
+
 def test_count_bell(capsys):
     code, out = run_cli(capsys, "count", "bell", "--n", "10")
     assert code == 0
@@ -213,6 +219,17 @@ def test_extremal_catalog(tmp_path, capsys):
     bad.write_text("partial 2 3 2 6 999\n")
     code, _ = run_cli(capsys, "extremal", "catalog", "--file", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("bell - - 9 5", "need 0 <= t <= n"), ("blocks - 3 4 5", "need 0 <= t <= l <= n")],
+)
+def test_catalog_t_out_of_range_is_usage_error(tmp_path, capsys, line, message):
+    cat = tmp_path / "instances.txt"
+    cat.write_text(line + "\n")
+    assert main(["extremal", "catalog", "--file", str(cat)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_weak_spread_cli(capsys):
@@ -405,7 +422,7 @@ def test_enumerate_streams_its_count(capsys):
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize(
+@pinned(
     "argv, digest",
     [
         ("enumerate partitions --n 4 --list",
@@ -528,7 +545,7 @@ def test_refused_containment_leaves_numpy_out(argv, message):
 PROFILE_200 = ",".join(["2"] * 200)
 
 
-@pytest.mark.parametrize(
+@pinned(
     "argv, code, digest",
     [
         ("verify bell-ratio --n-max 30", 0,
@@ -664,7 +681,7 @@ N 36
 """
 
 
-@pytest.mark.parametrize(
+@pinned(
     "argv, code, digest",
     [
         ("approximate --family ct:2,4,2 --ambient kl:2,4 --r 2 --q 4 --r0 4 --t 1", 0,

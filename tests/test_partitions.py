@@ -76,6 +76,23 @@ def test_tilde_bell_values_and_enumeration():
         assert tilde_bell(n) == by_filter
 
 
+def ref_tilde_bell(n: int) -> int:
+    """tB_n by the recurrence on the block of the largest element:
+    tB_(m+1) = sum_(i=0, i != 1)^(m-1) C(m, i) tB_i, with tB_0 = 1, tB_1 = 0.
+    The i = 0 term (that block is all of [m+1]) is required: without it
+    tB_3 would be 0, not 1."""
+    table = [1, 0]
+    for m in range(1, n):
+        table.append(sum(math.comb(m, i) * table[i] for i in range(m) if i != 1))
+    return table[n]
+
+
+def test_tilde_bell_matches_the_recurrence():
+    assert [tilde_bell(n) for n in range(81)] == [ref_tilde_bell(n) for n in range(81)]
+    with pytest.raises(DomainError):
+        tilde_bell(-1)
+
+
 def test_enumerate_partitions_canonical_unique():
     parts = enumerate_partitions(6)
     assert len(parts) == len(set(parts)) == bell(6)

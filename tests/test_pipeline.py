@@ -32,7 +32,7 @@ def test_star_family_pipeline():
     r = 3
     res = spread_approximate(fam, r, 6)
     assert res.remainder.size == 0  # member sizes <= 6 = q, so no oversized stop
-    recs = verify_approx(res, fam, ambient, r, 4, 6, 1)
+    recs = verify_approx(res, ambient, 4, 1)
     assert [rec.verdict for rec in select(recs, "approx-coverage")] == ["pass"]
     assert all(rec.verdict == "pass" for rec in select(recs, "approx-core-spread"))
     assert [rec.verdict for rec in select(recs, "approx-conservation")] == ["pass"]

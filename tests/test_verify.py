@@ -77,7 +77,7 @@ def test_finalize_takes_the_worst_point(verdicts, findings, overall):
         rep.add({}, "-", "-", "-", v)
     if findings:
         rep.findings.append("note")
-    assert rep.finalize().verdict == overall
+    assert rep.verdict == overall
 
 
 def test_gates_assert_nothing():
@@ -86,13 +86,23 @@ def test_gates_assert_nothing():
     assert rep.check({"i": 0}, 2, 1, "-", True, asserted=False) is True
     assert rep.check({"i": 1}, 1, 2, "-", False, asserted=False) is False
     # a pass gate and only info points: nothing was asserted
-    assert rep.finalize().verdict == "vacuous"
+    assert rep.verdict == "vacuous"
     assert [r.verdict for r in rep.records()] == ["vacuous", "pass", "info", "info"]
     # one asserted pass point keeps the head pass, whatever the gates read
     rep = CheckReport("c", {})
     rep.gate("g", False)
     rep.check({}, 2, 1, "-", True)
-    assert rep.finalize().verdict == "pass"
+    assert rep.verdict == "pass"
+
+
+def test_head_is_read_from_the_points():
+    rep = CheckReport("c", {})
+    assert rep.verdict == "vacuous"
+    rep.check({}, 2, 1, "-", True)
+    assert rep.verdict == "pass"
+    rep.check({}, 1, 2, "-", False)
+    assert rep.verdict == "fail"
+    assert [r.verdict for r in rep.records()] == ["fail", "pass", "fail"]
 
 
 def test_dobinski_examples():
