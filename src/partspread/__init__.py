@@ -66,7 +66,6 @@ from .approx import (
     verify_approx,
 )
 from .extremal import (
-    CanonicalSpec,
     OracleResult,
     canonical_family,
     check_conjecture_instance,

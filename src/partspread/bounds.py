@@ -71,25 +71,25 @@ def ln_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fr
     return a * l2lo + 2 * alo, a * l2hi + 2 * ahi
 
 
-def log2_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
+def log2_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log2(x) for rational x > 0."""
     x = Fraction(x)
-    nlo, nhi = ln_enclosure(x, eps / 4)
-    dlo, dhi = ln2_enclosure(eps / 4)
+    nlo, nhi = ln_enclosure(x, DEFAULT_EPS / 4)
+    dlo, dhi = ln2_enclosure(DEFAULT_EPS / 4)
     lo = nlo / dhi if nlo >= 0 else nlo / dlo
     hi = nhi / dlo if nhi >= 0 else nhi / dhi
     return lo, hi
 
 
-def e_enclosure(eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
-    """Rational lo <= e <= hi from the factorial series with tail bound."""
+def e_enclosure() -> tuple[Fraction, Fraction]:
+    """Rational lo <= e <= hi < lo + DEFAULT_EPS from the factorial series with tail bound."""
     total = Fraction(0)
     k = 0
     while True:
         total += Fraction(1, factorial(k))
         k += 1
         tail = Fraction(2, factorial(k))  # sum_{j>=k} 1/j! <= 2/k!
-        if tail < eps:
+        if tail < DEFAULT_EPS:
             return total, total + tail
 
 

@@ -24,7 +24,6 @@ from .encoding import encode_family_edges, encode_family_parts
 from .errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
 from .exact import parse_ratio
 from .extremal import (
-    CanonicalSpec,
     canonical_family,
     check_conjecture_instance,
     max_compatible_family,
@@ -112,10 +111,8 @@ def _spec_partitions(spec: str):
         return "edges", enumerate_profiled(Profile.uniform(*_parse_int_list(rest, 2)))
     if kind == "ct":
         k, l, t = _parse_int_list(rest, 3)
-        fam, _ = canonical_family(
-            CanonicalSpec(setting="partial", profile=Profile.uniform(k, l), t=t)
-        )
-        return "edges", fam
+        _, members = canonical_family("partial", t=t, profile=Profile.uniform(k, l))
+        return "edges", members
     if kind == "file":
         return "file", rest
     raise DomainError(f"unknown family spec {spec!r}")
@@ -353,18 +350,14 @@ def _run_extremal(args) -> list[Record]:
         t_set = _parse_int_list(args.t_set) if args.t_set else None
         if t_set is not None and args.t not in (None, len(t_set)):
             raise DomainError(f"--t {args.t} differs from the size {len(t_set)} of --t-set")
-        spec = CanonicalSpec(
-            setting=args.setting,
-            n=_required(args, "n") if args.setting in ("bell", "blocks") else 0,
-            l=_required(args, "l") if args.setting == "blocks" else 0,
-            t=len(t_set) if t_set else _required(args, "t"),
-            profile=_parse_profile(args.profile) if args.profile else None,
-            t_set=t_set,
-        )
-        fam, size = canonical_family(spec)
+        n = _required(args, "n") if args.setting in ("bell", "blocks") else 0
+        l = _required(args, "l") if args.setting == "blocks" else 0
+        t = len(t_set) if t_set else _required(args, "t")
+        profile = _parse_profile(args.profile) if args.profile else None
+        _, members = canonical_family(args.setting, n, l, t, profile, t_set)
         return [
             Record.make(
-                "canonical", {"setting": args.setting, "t": spec.t}, size, "-", "-", INFO
+                "canonical", {"setting": args.setting, "t": t}, len(members), "-", "-", INFO
             )
         ]
     if args.what == "catalog":

@@ -38,29 +38,6 @@ from .setfam import holders, mask_indices
 # canonical families
 
 
-@dataclass
-class CanonicalSpec:
-    """One of the conjectured-extremal constructions.
-
-    setting "bell": partitions of [n] with t fixed singleton blocks.
-    setting "blocks": partitions of [n] into l blocks, t of them fixed singletons.
-    setting "profiled": partitions with a given profile containing fixed
-        anchor blocks X_1..X_t (sizes matching the first t profile entries).
-    setting "partial": profiled partitions with some block containing a fixed
-        t-set T.
-
-    The anchor blocks are consecutive initial segments of [n], the first of
-    size k_1 starting at 1.
-    """
-
-    setting: str
-    n: int = 0
-    l: int = 0
-    t: int = 0
-    profile: Optional[Profile] = None
-    t_set: Optional[tuple[int, ...]] = None
-
-
 def _default_anchors(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Consecutive initial segments: X_1 = {1..k_1}, X_2 = next k_2, ..."""
     anchors = []
@@ -76,20 +53,35 @@ def has_block_containing(p: Partition, t_set: frozenset[int]) -> bool:
     return any(t_set.issubset(b) for b in p.blocks)
 
 
-def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
-    """The family of the given construction plus its exact size.
+def canonical_family(
+    setting: str,
+    n: int = 0,
+    l: int = 0,
+    t: int = 0,
+    profile: Optional[Profile] = None,
+    t_set: Optional[tuple[int, ...]] = None,
+) -> tuple[list[Partition], list[Partition]]:
+    """(universe, members) of one of the conjectured-extremal constructions:
+    the partitions enumerated and those of them kept.
 
-    Sizes match the closed forms: bell -> B_(n-t); blocks -> S(n-t, l-t);
-    partial over uniform (k,l) -> C(kl-t, k-t) * u(k, l-1).  Only the
-    partial setting takes an anchor set T.
+    setting "bell": partitions of [n] with t fixed singleton blocks.
+    setting "blocks": partitions of [n] into l blocks, t of them fixed singletons.
+    setting "profiled": partitions with a given profile containing fixed
+        anchor blocks X_1..X_t (sizes matching the first t profile entries).
+    setting "partial": profiled partitions with some block containing a fixed
+        t-set T (t_set, or {1..t} without one).
+
+    The anchor blocks are consecutive initial segments of [n], the first of
+    size k_1 starting at 1.  The number of members matches the closed form:
+    bell -> B_(n-t); blocks -> S(n-t, l-t); partial over uniform (k,l) ->
+    C(kl-t, k-t) * u(k, l-1).  Only the partial setting takes an anchor set T.
     """
-    if spec.t_set is not None and spec.setting != "partial":
-        raise DomainError(f"the {spec.setting} setting takes no anchor T-set")
-    if spec.setting == "partial":
-        profile = spec.profile
+    if t_set is not None and setting != "partial":
+        raise DomainError(f"the {setting} setting takes no anchor T-set")
+    if setting == "partial":
         if profile is None:
             raise DomainError("partial setting needs a profile")
-        t_set = spec.t_set or tuple(range(1, spec.t + 1))
+        t_set = t_set or tuple(range(1, t + 1))
         t = len(t_set)
         if t < 1 or len(set(t_set)) != t:
             raise DomainError("anchor T must be a nonempty set")
@@ -98,40 +90,39 @@ def canonical_family(spec: CanonicalSpec) -> tuple[list[Partition], int]:
         if t > max(profile.sizes):
             raise DomainError("anchor T larger than every block")
         tf = frozenset(t_set)
-        fam = [p for p in enumerate_profiled(profile) if has_block_containing(p, tf)]
+        universe = enumerate_profiled(profile)
+        members = [p for p in universe if has_block_containing(p, tf)]
         expected = _partial_expected(profile, t)
     else:
-        t = spec.t
         # (universe, anchor block sizes, closed form); the closed form is
         # computed after the enumeration so that its guard refuses first
-        if spec.setting == "bell":
-            if not 0 <= t <= spec.n:
+        if setting == "bell":
+            if not 0 <= t <= n:
                 raise DomainError("need 0 <= t <= n")
-            universe = enumerate_partitions(spec.n)
-            sizes, expected = [1] * t, bell(spec.n - t)
-        elif spec.setting == "blocks":
-            if not 0 <= t <= spec.l <= spec.n:
+            universe = enumerate_partitions(n)
+            sizes, expected = [1] * t, bell(n - t)
+        elif setting == "blocks":
+            if not 0 <= t <= l <= n:
                 raise DomainError("need 0 <= t <= l <= n")
-            universe = enumerate_into_blocks(spec.n, spec.l)
-            sizes, expected = [1] * t, stirling2(spec.n - t, spec.l - t)
-        elif spec.setting == "profiled":
-            profile = spec.profile
+            universe = enumerate_into_blocks(n, l)
+            sizes, expected = [1] * t, stirling2(n - t, l - t)
+        elif setting == "profiled":
             if profile is None or not 0 <= t <= profile.num_blocks:
                 raise DomainError("profiled setting needs a profile and 0 <= t <= l")
             universe = enumerate_profiled(profile)
             sizes, expected = profile.sizes[:t], count_profiled(Profile(profile.sizes[t:]))
         else:
-            raise DomainError(f"unknown canonical setting {spec.setting!r}")
+            raise DomainError(f"unknown canonical setting {setting!r}")
         # blocks are ordered by their least element and the anchors are
         # consecutive segments from 1, so p holds the anchors iff they are
         # its first t blocks
         anchors = _default_anchors(sizes)
-        fam = [p for p in universe if p.blocks[:t] == anchors]
-    if expected is not None and len(fam) != expected:
+        members = [p for p in universe if p.blocks[:t] == anchors]
+    if expected is not None and len(members) != expected:
         raise IntegrityError(
-            f"canonical family size {len(fam)} != closed form {expected}"
+            f"canonical family size {len(members)} != closed form {expected}"
         )
-    return fam, len(fam)
+    return universe, members
 
 
 def _partial_expected(profile: Profile, t: int) -> Optional[int]:
@@ -304,12 +295,9 @@ def _conjecture_step(
     if t > k:
         raise DomainError("need t <= k: no block can contain the anchor set")
     guards.require("clique_vertex_max", u_count(k, l), f"u({k},{l})")
-    profile = Profile.uniform(k, l)
-    universe = enumerate_profiled(profile)
-    canon, canon_size = canonical_family(
-        CanonicalSpec(setting="partial", profile=profile, t=t)
-    )
+    universe, canon = canonical_family("partial", t=t, profile=Profile.uniform(k, l))
     _assert_clique(canon, "partially-t-intersect", t)
+    canon_size = len(canon)
     if t == 1:
         return universe, None, canon_size
     result = max_compatible_family(universe, "partially-t-intersect", t, enumerate_all)
@@ -422,10 +410,9 @@ def run_catalog(text: str) -> list[Record]:
             universe, res, reference = _conjecture_step(k, l, t, enumerate_all=False)
             observed = len(universe) if res is None else res.max_size
         elif setting in ("bell", "blocks"):
-            universe = enumerate_partitions(n) if setting == "bell" else enumerate_into_blocks(n, l)
+            universe, members = canonical_family(setting, n=n, l=l or 0, t=t)
             observed = max_compatible_family(universe, "t-intersect", t).max_size
-            # after the oracle, so that its vertex guard refuses first
-            reference = canonical_family(CanonicalSpec(setting, n=n, l=l or 0, t=t))[1]
+            reference = len(members)
         else:
             raise DomainError(f"catalog line {lineno}: unknown setting {setting!r}")
         if expected is None:

@@ -61,8 +61,8 @@ def _least_ratio(
     return best, best_mask
 
 
-def _violator(masks, index, alive: int, x: int, r: Fraction, largest: bool) -> Optional[int]:
-    """Least mask X with |F(X)| r^|X| > |F| at the smallest (or largest) such size.
+def _violator(masks, index, alive: int, x: int, r: Fraction) -> Optional[int]:
+    """Least mask X with |F(X)| r^|X| > |F| at the smallest such size.
 
     F is the members of `masks` at the bits of `alive` less the elements of x
     (one pass over the binary digits of alive, which mask_indices would shift
@@ -72,7 +72,7 @@ def _violator(masks, index, alive: int, x: int, r: Fraction, largest: bool) -> O
     For r <= 1 nothing violates.  For r > 1 floor does not rise with s, so the
     sizes with floor[s] > 0 are 1..deep; above deep every s-subset of a member
     violates, and the least one of a member is its s lowest bits.  Sizes
-    1..deep are searched by `_counted_violators`.  Refused above
+    1..deep are searched by `_counted_violator`.  Refused above
     spread_candidate_max on the sum of 2^|A| over members A of F first.
     """
     members = [m & ~x for m, bit in zip(masks, bin(alive)[:1:-1]) if bit == "1"]
@@ -86,11 +86,9 @@ def _violator(masks, index, alive: int, x: int, r: Fraction, largest: bool) -> O
     deep = 0
     while deep < top and floor[deep + 1]:
         deep += 1
-    if largest and deep < top:
-        return min(m for m in members if m.bit_count() == top)
-    least = _counted_violators(index(), alive, x, floor, deep, largest)
-    if least:
-        return least[max(least) if largest else min(least)]
+    least = _counted_violator(index(), alive, x, floor, deep)
+    if least is not None:
+        return least
     if deep < top:
         return min(
             sum(1 << e for e in mask_indices(m)[: deep + 1])
@@ -100,10 +98,10 @@ def _violator(masks, index, alive: int, x: int, r: Fraction, largest: bool) -> O
     return None
 
 
-def _counted_violators(
-    index: dict, alive: int, x: int, floor: list[int], deep: int, largest: bool
-) -> dict[int, int]:
-    """Map sizes s in 1..deep to their least X with |F(X)| > floor[s], if any.
+def _counted_violator(
+    index: dict, alive: int, x: int, floor: list[int], deep: int
+) -> Optional[int]:
+    """Least X with |F(X)| > floor[s], s = |X|, at the smallest such s in 1..deep.
 
     F is as in `_violator`.  A depth-first search adds elements outside x in
     increasing index order.  Each carries the bitmask of the members of F
@@ -111,20 +109,18 @@ def _counted_violators(
     one element is one AND and one bit count.  A set is grown only while
     more than floor[deep] members contain it: |F(X)| only falls as X grows
     and floor[deep] is the least threshold, so nothing pruned can violate.
-    Unless largest, no set grows past the least violating size found so far.
+    No set grows past the least violating size found so far.
     """
     keep = floor[deep]
-    least: dict[int, int] = {}
+    least: Optional[int] = None  # the least violator found so far, of size stop
     stop = deep
 
     def grow(y: int, s: int, ext: list[tuple[int, int, int]]) -> None:
-        nonlocal stop
+        nonlocal least, stop
         for j, (bit, held, cnt) in enumerate(ext, 1):
             z = y | bit
-            if cnt > floor[s] and z < least.get(s, z + 1):
-                least[s] = z
-                if not largest:
-                    stop = s
+            if cnt > floor[s] and (least is None or s < stop or z < least):
+                least, stop = z, s
             if s < stop:
                 sub = []
                 for bit2, held2, _ in ext[j:]:
@@ -188,7 +184,7 @@ def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
     if r <= 0:
         raise DomainError("is_r_spread needs r > 0")
     index = partial(holders, map(mask_indices, f.masks))
-    mask = _violator(f.masks, index, (1 << f.size) - 1, 0, r, largest=False)
+    mask = _violator(f.masks, index, (1 << f.size) - 1, 0, r)
     if mask is None:
         return True, None
     return False, ElementSet(f.universe, mask)
@@ -245,7 +241,7 @@ def peel_violators(f: SetFamily, r: Fraction) -> Iterator[tuple[int, int]]:
                 x |= 1 << best_e
                 held &= index[best_e]
                 continue
-            viol = _violator(f.masks, lambda: index, held, x, r, largest=False)
+            viol = _violator(f.masks, lambda: index, held, x, r)
             if viol is None:
                 break
             x |= viol
@@ -268,8 +264,9 @@ def find_max_violating(f: SetFamily, r) -> ElementSet:
 def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
     """An alpha-spread restriction F(X) of a k-uniform family with |F| > alpha^k.
 
-    Takes the largest X violating alpha-spreadness (ties to the least mask);
-    with no violator the family itself is returned with X empty.
+    Takes the largest X violating alpha-spreadness (ties to the least mask),
+    from one scan of `candidate_counts`; with no violator the family itself
+    is returned with X empty.
     """
     if f.size == 0:
         raise PreconditionError("empty family")
@@ -284,11 +281,14 @@ def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
         raise PreconditionError(
             f"|F| = {f.size} does not exceed alpha^k = {alpha}**{k}"
         )
-    index = partial(holders, map(mask_indices, f.masks))
-    best_mask = _violator(f.masks, index, (1 << f.size) - 1, 0, alpha, largest=True)
-    if best_mask is None:
+    p, q = alpha.numerator, alpha.denominator
+    violators = [
+        mask for mask, cnt in candidate_counts(f).items()
+        if cnt * p ** mask.bit_count() > f.size * q ** mask.bit_count()
+    ]
+    if not violators:
         return ElementSet(f.universe, 0), f
-    x = ElementSet(f.universe, best_mask)
+    x = ElementSet(f.universe, min(violators, key=lambda m: (-m.bit_count(), m)))
     return x, restrict(f, x)
 
 

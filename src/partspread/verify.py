@@ -22,7 +22,7 @@ from .encoding import (
 )
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
-from .extremal import CanonicalSpec, canonical_family, has_block_containing
+from .extremal import canonical_family, has_block_containing
 from .partitions import (
     Partition,
     Profile,
@@ -416,6 +416,9 @@ def check_random_containment(
         raise PreconditionError("need 0 < m*delta <= 1")
     if trials < 10**4:
         raise PreconditionError("need trials >= 10^4")
+    num, den = p.numerator, p.denominator
+    if den >= 2**63:
+        raise DomainError("m*delta denominator too large for integer sampling")
     ok, _ = is_r_spread(f, r)
     if not ok:
         raise PreconditionError(f"family is not {r}-spread")
@@ -430,9 +433,6 @@ def check_random_containment(
         log_hi = log2_enclosure(rd)[1]
         bound = 1 - (5 / log_hi) ** m * f.average_size()
 
-    num, den = p.numerator, p.denominator
-    if den >= 2**63:
-        raise DomainError("m*delta denominator too large for integer sampling")
     masks = f.masks
     hits = 0
     for w in _random_subsets(f.universe.size, num, den, trials, seed):
@@ -564,9 +564,8 @@ def check_nonintersect_count(
         raise DomainError("Y must be a uniform (k,l)-partition")
     if has_block_containing(y, tf):
         raise PreconditionError("Y lies in the canonical family C^T")
-    canonical, size = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile.uniform(k, l), t_set=tuple(t_set))
-    )
+    _, canonical = canonical_family("partial", profile=Profile.uniform(k, l), t_set=tuple(t_set))
+    size = len(canonical)
     count = sum(1 for p in canonical if not partially_t_intersect(p, y, t))
     u_full = u_count(k, l)
     rep = CheckReport(

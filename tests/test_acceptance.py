@@ -21,7 +21,6 @@ from partspread.cli import main as cli_main
 from partspread.encoding import encode_family_edges, encode_family_parts
 from partspread.exact import ExactPow
 from partspread.extremal import (
-    CanonicalSpec,
     canonical_family,
     check_conjecture_instance,
     max_compatible_family,
@@ -154,11 +153,8 @@ def test_criterion_05_spread_engine():
 def test_criterion_06_peeling_guarantees():
     corpus = []
     # canonical partial family inside edge-encoded uniform (2,4), t' = 1
-    universe = enumerate_uniform(2, 4)
+    universe, members = canonical_family("partial", t=2, profile=Profile.uniform(2, 4))
     ue, ambient = encode_family_edges(universe)
-    members, _ = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile.uniform(2, 4), t=2)
-    )
     keep = set(p for p in members)
     sub_masks = [m for p, m in zip(universe, ambient.masks) if p in keep]
     corpus.append((SetFamily(ue, sub_masks), ambient, 2, 4, 4, 1))
@@ -218,11 +214,10 @@ def test_criterion_08_extremal_oracles():
         assert res.max_size == 1
     # canonical families are cliques (checked inside canonical_family too)
     for spec, pred, t in [
-        (CanonicalSpec(setting="bell", n=5, t=2), t_intersect, 2),
-        (CanonicalSpec(setting="partial", profile=Profile.uniform(2, 4), t=2),
-         partially_t_intersect, 2),
+        (dict(setting="bell", n=5, t=2), t_intersect, 2),
+        (dict(setting="partial", profile=Profile.uniform(2, 4), t=2), partially_t_intersect, 2),
     ]:
-        fam, _ = canonical_family(spec)
+        _, fam = canonical_family(**spec)
         for i, p in enumerate(fam):
             for q_ in fam[i + 1 :]:
                 assert pred(p, q_, t)

@@ -20,7 +20,7 @@ from partspread.cli import load_family
 from partspread.encoding import encode_family_edges
 from partspread import approx, guards, setfam, spread
 from partspread.errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
-from partspread.extremal import CanonicalSpec, canonical_family
+from partspread.extremal import canonical_family
 from partspread.partitions import Profile
 from partspread.report import records_to_text
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, restrict, stars
@@ -144,9 +144,8 @@ def absorb_at_x() -> SetFamily:
     [
         lambda: find_max_violating(absorb_at_x(), 3),
         lambda: is_r_spread(absorb_at_x(), 3),
-        lambda: find_spread_subfamily(ksubsets_family(5, 2), 3),
     ],
-    ids=["find_max_violating", "is_r_spread", "find_spread_subfamily"],
+    ids=["find_max_violating", "is_r_spread"],
 )
 def test_one_member_index_per_call(call):
     build = mock.Mock(wraps=setfam.holders)
@@ -231,11 +230,8 @@ def test_verify_approx_integrity():
 
 def test_peeling_canonical_partial_family_inside_ambient():
     # edge-encoded canonical family inside the full uniform family
-    universe = enumerate_uniform(2, 4)
+    universe, members = canonical_family("partial", t=2, profile=Profile.uniform(2, 4))
     u, ambient = encode_family_edges(universe)
-    members, _ = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile.uniform(2, 4), t=2)
-    )
     sub_masks = {m for p, m in zip(universe, ambient.masks) if p in set(members)}
     f = SetFamily(u, [m for m in ambient.masks if m in sub_masks])
     assert f.size == 15

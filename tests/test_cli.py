@@ -13,7 +13,7 @@ from partspread import cli, guards, verify
 from partspread.cli import load_family, load_subfamily, main
 from partspread.encoding import encode_edges, encode_family_edges, encode_parts
 from partspread.errors import DomainError, ResourceLimitError
-from partspread.extremal import CanonicalSpec, canonical_family
+from partspread.extremal import canonical_family
 from partspread.partitions import Profile, enumerate_into_blocks, tilde_bell
 from partspread.setfam import family_to_text
 from partspread.spread import candidate_counts
@@ -223,7 +223,14 @@ def test_extremal_catalog(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("bell - - 9 5", "need 0 <= t <= n"), ("blocks - 3 4 5", "need 0 <= t <= l <= n")],
+    [
+        ("bell - - 9 5", "need 0 <= t <= n"),
+        ("blocks - 3 4 5", "need 0 <= t <= l <= n"),
+        # refused before the universe is enumerated or its oracle's guard is asked
+        ("bell - - 12 9", "need 0 <= t <= n"),
+        ("bell - - -1 4", "need 0 <= t <= n"),
+        ("blocks - 5 1 4", "need 0 <= t <= l <= n"),
+    ],
 )
 def test_catalog_t_out_of_range_is_usage_error(tmp_path, capsys, line, message):
     cat = tmp_path / "instances.txt"
@@ -741,9 +748,7 @@ def test_load_subfamily_encodes_over_the_ambient(tmp_path):
 
     u, _ = load_family("kl:2,4")
     fam = load_subfamily("ct:2,4,2", u)
-    canon, _ = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile.uniform(2, 4), t=2)
-    )
+    _, canon = canonical_family("partial", t=2, profile=Profile.uniform(2, 4))
     assert fam.universe is u
     assert list(fam.masks) == [encode_edges(p, u).mask for p in canon]
 

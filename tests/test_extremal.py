@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,6 @@ from partspread import extremal, guards
 from partspread.cli import main
 from partspread.errors import DomainError, IntegrityError, ResourceLimitError
 from partspread.extremal import (
-    CanonicalSpec,
     canonical_family,
     check_conjecture_instance,
     has_block_containing,
@@ -30,71 +30,50 @@ from partspread.partitions import (
 
 
 def test_canonical_bell_setting():
-    fam, size = canonical_family(CanonicalSpec(setting="bell", n=5, t=2))
-    assert size == bell(3) == 5
+    _, fam = canonical_family("bell", n=5, t=2)
+    assert len(fam) == bell(3) == 5
     for p in fam:
         assert (1,) in p.blocks and (2,) in p.blocks
 
 
 def test_canonical_blocks_setting():
-    fam, size = canonical_family(CanonicalSpec(setting="blocks", n=6, l=4, t=2))
-    assert size == stirling2(4, 2) == 7
+    _, fam = canonical_family("blocks", n=6, l=4, t=2)
+    assert len(fam) == stirling2(4, 2) == 7
 
 
 def test_canonical_profiled_setting():
-    spec = CanonicalSpec(setting="profiled", profile=Profile((2, 2, 3)), t=1)
-    fam, size = canonical_family(spec)
-    assert size == count_profiled(Profile((2, 3)))
+    _, fam = canonical_family("profiled", t=1, profile=Profile((2, 2, 3)))
+    assert len(fam) == count_profiled(Profile((2, 3)))
     anchor = (1, 2)
     assert all(anchor in p.blocks for p in fam)
 
 
 def test_canonical_partial_setting():
-    fam, size = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile.uniform(2, 3), t=2)
-    )
-    assert size == 3
-    fam, size = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile.uniform(3, 3), t=2)
-    )
-    assert size == 70  # C(7,1) * u(3,2)
+    _, fam = canonical_family("partial", t=2, profile=Profile.uniform(2, 3))
+    assert len(fam) == 3
+    _, fam = canonical_family("partial", t=2, profile=Profile.uniform(3, 3))
+    assert len(fam) == 70  # C(7,1) * u(3,2)
 
 
 def test_canonical_partial_nonuniform_profile():
     # T inside the 2-block forces the rest; T inside the 3-block leaves
     # 3 choices for its third element: 1 + 3 = 4
-    fam, size = canonical_family(
-        CanonicalSpec(setting="partial", profile=Profile((2, 3)), t=2)
-    )
-    assert size == 4
+    universe, fam = canonical_family("partial", t=2, profile=Profile((2, 3)))
+    assert len(fam) == 4
+    assert universe == enumerate_profiled(Profile((2, 3)))
     tf = frozenset({1, 2})
-    from partspread.partitions import enumerate_profiled
-
-    oracle = sum(
-        1
-        for p in enumerate_profiled(Profile((2, 3)))
-        if any(tf.issubset(b) for b in p.blocks)
-    )
-    assert size == oracle
+    assert fam == [p for p in universe if any(tf.issubset(b) for b in p.blocks)]
 
 
 def test_canonical_families_are_cliques():
     cases = [
-        (CanonicalSpec(setting="bell", n=5, t=2), t_intersect, 2),
-        (CanonicalSpec(setting="blocks", n=5, l=3, t=1), t_intersect, 1),
-        (
-            CanonicalSpec(setting="partial", profile=Profile.uniform(2, 3), t=2),
-            partially_t_intersect,
-            2,
-        ),
-        (
-            CanonicalSpec(setting="profiled", profile=Profile((1, 2, 2)), t=1),
-            t_intersect,
-            1,
-        ),
+        (dict(setting="bell", n=5, t=2), t_intersect, 2),
+        (dict(setting="blocks", n=5, l=3, t=1), t_intersect, 1),
+        (dict(setting="partial", profile=Profile.uniform(2, 3), t=2), partially_t_intersect, 2),
+        (dict(setting="profiled", profile=Profile((1, 2, 2)), t=1), t_intersect, 1),
     ]
     for spec, pred, t in cases:
-        fam, _ = canonical_family(spec)
+        _, fam = canonical_family(**spec)
         for i, p in enumerate(fam):
             for q in fam[i + 1 :]:
                 assert pred(p, q, t)
@@ -115,33 +94,30 @@ def _anchor_filter(universe, sizes):
 
 
 def test_canonical_matches_anchor_subset_filter():
-    # reference: a member must contain every anchor block, in any position
+    # reference: the direct enumeration, whose members must contain every
+    # anchor block, in any position
     for n in range(1, 8):
         universe = enumerate_partitions(n)
         for t in range(n + 1):
-            fam, _ = canonical_family(CanonicalSpec(setting="bell", n=n, t=t))
-            assert fam == _anchor_filter(universe, [1] * t)
+            got = canonical_family("bell", n=n, t=t)
+            assert got == (universe, _anchor_filter(universe, [1] * t))
         for l in range(1, n + 1):
             universe = enumerate_into_blocks(n, l)
             for t in range(l + 1):
-                fam, _ = canonical_family(CanonicalSpec(setting="blocks", n=n, l=l, t=t))
-                assert fam == _anchor_filter(universe, [1] * t)
+                got = canonical_family("blocks", n=n, l=l, t=t)
+                assert got == (universe, _anchor_filter(universe, [1] * t))
         for sizes in _profiles(n):
             universe = enumerate_profiled(Profile(sizes))
             for t in range(len(sizes) + 1):
-                spec = CanonicalSpec(setting="profiled", profile=Profile(sizes), t=t)
-                assert canonical_family(spec)[0] == _anchor_filter(universe, sizes[:t])
+                got = canonical_family("profiled", t=t, profile=Profile(sizes))
+                assert got == (universe, _anchor_filter(universe, sizes[:t]))
 
 
 def test_canonical_anchor_validation():
     with pytest.raises(DomainError):
-        canonical_family(
-            CanonicalSpec(
-                setting="partial", profile=Profile.uniform(2, 2), t_set=(1, 2, 3)
-            )
-        )
+        canonical_family("partial", profile=Profile.uniform(2, 2), t_set=(1, 2, 3))
     with pytest.raises(DomainError):
-        canonical_family(CanonicalSpec(setting="nonsense"))
+        canonical_family("nonsense")
 
 
 def test_oracle_uniform_2_2():
@@ -188,13 +164,9 @@ def test_oracle_vertex_order_invariance():
 
 def test_oracle_at_least_canonical():
     for k, l, t in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 2, 3)]:
-        fam, size = canonical_family(
-            CanonicalSpec(setting="partial", profile=Profile.uniform(k, l), t=t)
-        )
-        res = max_compatible_family(
-            enumerate_uniform(k, l), "partially-t-intersect", t
-        )
-        assert res.max_size >= size
+        universe, fam = canonical_family("partial", t=t, profile=Profile.uniform(k, l))
+        res = max_compatible_family(universe, "partially-t-intersect", t)
+        assert res.max_size >= len(fam)
 
 
 def test_oracle_guard():
@@ -260,6 +232,35 @@ def test_catalog_partial_lines_match_the_conjecture_check():
         assert line.params == f"setting=partial,k={k},l={l},t={t},n=-"
 
 
+def test_each_universe_enumerated_once(monkeypatch):
+    # count the calls of each enumerator made through extremal's namespace
+    calls = Counter()
+    for name in ("enumerate_partitions", "enumerate_into_blocks", "enumerate_profiled"):
+        def counted(*args, _name=name, _real=getattr(extremal, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(extremal, name, counted)
+    for k, l, t in [(2, 3, 2), (2, 3, 1)]:
+        check_conjecture_instance(k, l, t)
+        assert calls == {"enumerate_profiled": 1}
+        calls.clear()
+    catalog = {
+        "partial 2 3 2 -": "enumerate_profiled",
+        "partial 2 3 1 -": "enumerate_profiled",
+        "bell - - 2 5": "enumerate_partitions",
+        "blocks - 3 1 5": "enumerate_into_blocks",
+    }
+    for line, enumerator in catalog.items():
+        run_catalog(line)
+        assert calls == {enumerator: 1}
+        calls.clear()
+    # a t out of range is refused before the universe of [9] is enumerated
+    with pytest.raises(DomainError, match=r"need 0 <= t <= n"):
+        run_catalog("bell - - 12 9")
+    assert not calls
+
+
 def test_conjecture_guards():
     with pytest.raises(ResourceLimitError):
         check_conjecture_instance(3, 4, 2)  # u(3,4) = 15400 > 3000
@@ -270,9 +271,7 @@ def test_conjecture_guards():
 def test_closed_form_mismatch_is_integrity_error(monkeypatch, capsys):
     monkeypatch.setattr(extremal, "_partial_expected", lambda profile, t: 99)
     with pytest.raises(IntegrityError, match="closed form 99"):
-        canonical_family(
-            CanonicalSpec(setting="partial", profile=Profile.uniform(2, 3), t=2)
-        )
+        canonical_family("partial", t=2, profile=Profile.uniform(2, 3))
     argv = ["extremal", "canonical", "--setting", "partial", "--profile", "2,2,2", "--t", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err

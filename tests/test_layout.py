@@ -1,6 +1,7 @@
 """Source layout rules: no run-time writes to guards, no private cross-module imports,
 no refusal built outside guards.require, numpy imported by the containment
-sampler alone, and verdict values spelled by the report constants alone."""
+sampler alone, verdict values spelled by the report constants alone, and the
+extremal universes enumerated by canonical_family alone."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,11 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "partspread").gl
 # the one function that may import numpy, inside its body: every other command
 # would pay numpy's import time
 NUMPY_HOME = ("verify.py", "_random_subsets")
+
+# inside extremal.py only canonical_family enumerates, so that every caller
+# takes the universe it returns and none enumerates that universe again
+ENUMERATION_HOME = ("extremal.py", "canonical_family")
+ENUMERATORS = {"enumerate_partitions", "enumerate_into_blocks", "enumerate_profiled"}
 
 # outside report.py a verdict is named by its constant, so that one module owns them
 VERDICTS = {FAIL, FINDING, GATED, INFO, PASS, SKIPPED, VACUOUS}
@@ -34,14 +40,20 @@ def _imports_numpy(node) -> bool:
     return any(n == "numpy" or n.startswith("numpy.") for n in names)
 
 
-def _violations(tree: ast.AST, name: str = "") -> list[str]:
-    found = []
-    numpy_home = {
+def _home(tree: ast.AST, name: str, home: tuple[str, str]) -> set[int]:
+    """ids of the nodes inside the function `home` names, in the file it names."""
+    return {
         id(inner)
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and (name, node.name) == NUMPY_HOME
+        if isinstance(node, ast.FunctionDef) and (name, node.name) == home
         for inner in ast.walk(node)
     }
+
+
+def _violations(tree: ast.AST, name: str = "") -> list[str]:
+    found = []
+    numpy_home = _home(tree, name, NUMPY_HOME)
+    enumeration_home = _home(tree, name, ENUMERATION_HOME)
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -60,6 +72,13 @@ def _violations(tree: ast.AST, name: str = "") -> list[str]:
             found.append(f"line {node.lineno}: spells the verdict {node.value!r}")
         if _imports_numpy(node) and id(node) not in numpy_home:
             found.append(f"line {node.lineno}: imports numpy outside verify._random_subsets")
+        if (
+            name == ENUMERATION_HOME[0]
+            and isinstance(node, ast.Call)
+            and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & ENUMERATORS
+            and id(node) not in enumeration_home
+        ):
+            found.append(f"line {node.lineno}: enumerates outside extremal.canonical_family")
         targets = []
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
@@ -130,3 +149,13 @@ def test_layout_rules_catch_violations():
     )
     assert len(_violations(ast.parse(verdicts), "verify.py")) == 2
     assert _violations(ast.parse(verdicts), "report.py") == []
+    enumerations = (
+        "def canonical_family(setting):\n"
+        "    return enumerate_partitions(3)\n"
+        "def run_catalog(text):\n"
+        "    enumerate_into_blocks(4, 2)\n"
+        "    partitions.enumerate_profiled(Profile((2, 2)))\n"
+        "universe = enumerate_partitions(4)\n"
+    )
+    assert len(_violations(ast.parse(enumerations), "extremal.py")) == 3
+    assert _violations(ast.parse(enumerations), "cli.py") == []

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import family_of, ksubsets_family, select
-from partspread import guards, spread
+from partspread import guards
 from partspread.approx import check_dominance
 from partspread.encoding import decode_parts
 from partspread.errors import DomainError, PreconditionError, ResourceLimitError
 from partspread.exact import ExactPow
 from partspread.partitions import Partition, bell
-from partspread.setfam import ElementSet, PlainUniverse, SetFamily, holders, mask_indices, restrict
+from partspread.setfam import ElementSet, PlainUniverse, SetFamily, mask_indices, restrict
 from partspread.spread import (
     candidate_counts,
     find_max_violating,
@@ -504,10 +504,6 @@ def test_violator_search_matches_reference(masks, with_empty, r):
     ok, witness = is_r_spread(f, r)
     assert ok == (smallest is None)
     assert (witness.mask if witness else None) == smallest
-    largest = spread._violator(
-        f.masks, lambda: holders(map(mask_indices, f.masks)), (1 << f.size) - 1, 0, r, True
-    )
-    assert largest == ref_violator(f, r, largest=True)
 
 
 @settings(max_examples=300, deadline=None)

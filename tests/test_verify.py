@@ -308,6 +308,17 @@ def test_containment_preconditions():
         check_random_containment(f, 9, 2, Fraction(1, 4), 10**4, 0)  # not 9-spread
 
 
+def test_containment_denominator_refused_before_the_scan(monkeypatch):
+    # f is not 9-spread, and the sampler cannot draw at the denominator 2^63 + 1
+    f = _singleton_family(8)
+    scans = []
+    scan = verify.is_r_spread
+    monkeypatch.setattr(verify, "is_r_spread", lambda *args: scans.append(args) or scan(*args))
+    with pytest.raises(DomainError, match="denominator too large"):
+        check_random_containment(f, 9, 1, Fraction(1, 2**63 + 1), 10**4, 0)
+    assert scans == []
+
+
 def test_containment_closed_form_domain():
     f = family_of(4, {0, 1})
     with pytest.raises(DomainError):
