@@ -8,7 +8,12 @@ are produced from the atanh series
 
 after reducing the argument to [1, 2) by factoring out powers of two; the
 truncation error is enclosed by a geometric tail, so both ends of every
-enclosure are honest rationals.  Default width is 1e-40.
+enclosure are honest rationals.  Default width is 1e-40.  The series is summed
+in integers over one common denominator and reduced to lowest terms once, at
+the end.
+
+round_up_dyadic rounds a rational up to a DYADIC_BITS-bit dyadic, for running
+products that would otherwise grow every step.
 
 Powers a**x and b**y of rationals are ordered exactly by one kernel,
 compare_powers; the log2 gates x > log2(m) and x >= log2(m) compare 2**x with m.
@@ -25,24 +30,57 @@ from .errors import DomainError
 DEFAULT_EPS = Fraction(1, 10**40)
 # compare_powers builds cross powers of at most this many bits
 POWER_BITS = 1 << 16
+# round_up_dyadic keeps this many significant bits
+DYADIC_BITS = 128
+
+
+def _floor_log2(x: Fraction) -> int:
+    """floor(log2(x)) for rational x > 0, from the bit lengths of its terms."""
+    n, d = x.numerator, x.denominator
+    a = n.bit_length() - d.bit_length()  # x lies in (2^(a-1), 2^(a+1))
+    below = n < d << a if a >= 0 else n << -a < d
+    return a - below
+
+
+def round_up_dyadic(x: Fraction) -> Fraction:
+    """The least m / 2^e >= x with m of DYADIC_BITS bits, for rational x > 0.
+
+    Its relative excess over x is below 2^(1 - DYADIC_BITS).
+    """
+    e = DYADIC_BITS - 1 - _floor_log2(x)  # x * 2^e lies in [2^(DYADIC_BITS-1), 2^DYADIC_BITS)
+    n, d = x.numerator, x.denominator
+    if e >= 0:
+        return Fraction(-(-(n << e) // d), 1 << e)
+    return Fraction(-(-n // (d << -e)) << -e)
 
 
 def _atanh_enclosure(y: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Lower/upper bounds of atanh(y) for 0 <= y < 1."""
-    if y == 0:
+    """Lower/upper bounds of atanh(y) for 0 <= y < 1.
+
+    For y = p/q the partial sum through the y^(2k+1) term is num / den with
+    den = q^(2k+1) * lcm(1, 3, ..., 2k+1), and the sum stops at the first k
+    whose tail bound y^(2k+3) / ((2k+3)(1 - y^2)) is below eps/2.
+    """
+    p, q = y.numerator, y.denominator
+    if p == 0:
         return Fraction(0), Fraction(0)
-    total = Fraction(0)
-    term = y
-    y2 = y * y
-    k = 0
+    p2, q2 = p * p, q * q
+    half_n, half_d = eps.numerator, 2 * eps.denominator  # eps/2
+    # through the y^(2k+1) term: ppow = p^(2k+1), qpow = q^(2k+1), odd = 2k+1,
+    # odd_lcm = lcm(1, 3, ..., 2k+1) and the partial sum is num / (qpow * odd_lcm)
+    num, ppow, qpow, odd, odd_lcm = p, p, q, 1, 1
     while True:
-        total += term / (2 * k + 1)
-        term *= y2
-        k += 1
-        # remaining tail <= term/(2k+1) * (1 + y2 + y2^2 + ...) = term/((2k+1)(1-y2))
-        tail = term / ((2 * k + 1) * (1 - y2))
-        if tail < eps / 2:
-            return total, total + tail
+        ppow *= p2  # p^(2k+3)
+        odd += 2  # 2k+3
+        # tail = ppow / tail_d; the cross-multiplied test is tail < eps/2
+        tail_d = qpow * odd * (q2 - p2)
+        if ppow * half_d < half_n * tail_d:
+            den = qpow * odd_lcm
+            return Fraction(num, den), Fraction(num * tail_d + ppow * den, den * tail_d)
+        grown = lcm(odd_lcm, odd)
+        num = num * q2 * (grown // odd_lcm) + ppow * (grown // odd)
+        qpow *= q2
+        odd_lcm = grown
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +98,8 @@ def ln_enclosure(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fr
         lo, hi = ln_enclosure(1 / x, eps)
         return -hi, -lo
     # reduce to m in [1, 2): x = 2**a * m
-    a = 0
-    m = x
-    while m >= 2:
-        m /= 2
-        a += 1
+    a = _floor_log2(x)
+    m = x / (1 << a)
     l2lo, l2hi = ln2_enclosure(eps / (2 * max(a, 1)))
     y = (m - 1) / (m + 1)  # in [0, 1/3)
     alo, ahi = _atanh_enclosure(y, eps / 4)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -115,16 +115,23 @@ class Profile:
 # counting
 
 
-_BELLS = [1]  # grown in place: _BELLS[n] = B_n
+# grown in place together: _BELLS[n] = B_n, and _BELL_ROW is row len(_BELLS) - 1
+# of the Bell triangle, which starts with the last Bell number and ends with the next
+_BELLS = [1]
+_BELL_ROW = [1]
 
 
 def bell(n: int) -> int:
-    """The n-th Bell number via B_{n+1} = sum_i C(n,i) B_i, cached."""
+    """The n-th Bell number from the Bell triangle (Aitken's array), cached.
+
+    Each row starts with the last entry of the row before, and each further
+    entry adds the entry above-left to its left neighbour; row n starts with B_n.
+    """
     if n < 0:
         raise DomainError("bell(n) needs n >= 0")
     while len(_BELLS) <= n:
-        m = len(_BELLS) - 1
-        _BELLS.append(sum(math.comb(m, i) * _BELLS[i] for i in range(m + 1)))
+        _BELL_ROW[:] = accumulate(_BELL_ROW, initial=_BELL_ROW[-1])
+        _BELLS.append(_BELL_ROW[0])
     return _BELLS[n]
 
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure
+from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure, round_up_dyadic
 from .encoding import (
     count_extensions,
     edges_to_subpartition,
@@ -33,7 +33,6 @@ from .partitions import (
     enumerate_profiled,
     partially_t_intersect,
     stirling2,
-    tilde_bell,
     u_count,
 )
 from .report import FAIL, FINDING, GATED, INFO, VACUOUS, CheckReport
@@ -85,20 +84,27 @@ def check_dobinski(n: int, s_max: int) -> CheckReport:
 def check_no_singleton_bound(s_max: int) -> CheckReport:
     """tB_s against (1/2) prod_(i=2..s-1) (1 - 2ln(i+1)/(i+1)) (1 - (2i+2)/3^i) B_s.
 
-    Logs are replaced by rational lower bounds, which only enlarges the
-    right-hand side, so a pass certifies the printed product bound.  Any
-    violation is recorded as a finding rather than a failure: the counts on
-    the left are exact, where the paper's no-singleton recurrence is not.
+    Logs are replaced by rational lower bounds, and after each step the
+    product is rounded up to a dyadic rational (bounds.round_up_dyadic), so
+    that it does not grow without bound.  Both only enlarge the right-hand
+    side, so a pass certifies the printed product bound.  Any violation is
+    recorded as a finding rather than a failure: the counts on the left are
+    exact, where the paper's no-singleton recurrence is not.  The counts run
+    through tB_s = B_(s-1) - tB_(s-1) from tB_1 = 0.
     """
     if s_max < 2:
         raise DomainError("check_no_singleton_bound needs s_max >= 2")
     rep = CheckReport("no-singleton-bound", {"s_max": s_max})
     product = Fraction(1)
+    count = 0  # tB_1
     for s in range(2, s_max + 1):
-        rep.compare({"s": s}, tilde_bell(s), Fraction(1, 2) * product * bell(s), miss=FINDING)
+        count = bell(s - 1) - count
+        rep.compare({"s": s}, count, Fraction(1, 2) * product * bell(s), miss=FINDING)
         # extend the product with the i = s factor for the next step
         ln_lo = ln_enclosure(Fraction(s + 1))[0]
-        product *= (1 - 2 * ln_lo / (s + 1)) * (1 - Fraction(2 * s + 2, 3**s))
+        product = round_up_dyadic(
+            product * (1 - 2 * ln_lo / (s + 1)) * (1 - Fraction(2 * s + 2, 3**s))
+        )
     return rep
 
 

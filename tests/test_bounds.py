@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from partspread import bounds
 from partspread.bounds import (
+    DEFAULT_EPS,
+    DYADIC_BITS,
     at_least_log2,
     compare_powers,
     e_enclosure,
     exceeds_log2,
+    ln2_enclosure,
     ln_enclosure,
     log2_enclosure,
+    round_up_dyadic,
 )
 from partspread.errors import DomainError
 
@@ -35,6 +39,84 @@ def test_ln_enclosure_fractional_arguments():
     for num, den in [(1, 3), (7, 2), (105, 4), (1, 10)]:
         lo, hi = ln_enclosure(Fraction(num, den))
         assert lo <= _ref(mpmath.ln(mpmath.mpf(num) / den)) <= hi
+
+
+def _atanh_by_terms(y: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Reference atanh enclosure: the series summed term by term as Fractions."""
+    if y == 0:
+        return Fraction(0), Fraction(0)
+    total, term, y2, k = Fraction(0), y, y * y, 0
+    while True:
+        total += term / (2 * k + 1)
+        term *= y2
+        k += 1
+        tail = term / ((2 * k + 1) * (1 - y2))
+        if tail < eps / 2:
+            return total, total + tail
+
+
+def _ln_by_halving(x: Fraction, eps: Fraction = DEFAULT_EPS) -> tuple[Fraction, Fraction]:
+    """Reference ln enclosure: the argument halved once per power of two."""
+    if x < 1:
+        lo, hi = _ln_by_halving(1 / x, eps)
+        return -hi, -lo
+    a, m = 0, x
+    while m >= 2:
+        m /= 2
+        a += 1
+    l2lo, l2hi = ln2_enclosure(eps / (2 * max(a, 1)))
+    alo, ahi = _atanh_by_terms((m - 1) / (m + 1), eps / 4)
+    return a * l2lo + 2 * alo, a * l2hi + 2 * ahi
+
+
+def _floor_log2_by_halving(x: Fraction) -> int:
+    a = 0
+    while x >= 2:
+        x, a = x / 2, a + 1
+    while x < 1:
+        x, a = x * 2, a - 1
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=Fraction(1, 3), max_denominator=10**60),
+    st.integers(0, 64),
+)
+def test_atanh_enclosure_equals_the_term_by_term_sum(y, j):
+    eps = DEFAULT_EPS / 2**j
+    assert bounds._atanh_enclosure(y, eps) == _atanh_by_terms(y, eps)
+
+
+# rationals of up to a few thousand bits on either side of 1
+big_rational_st = st.builds(
+    Fraction, st.integers(1, 2**4000), st.integers(1, 2**4000)
+) | st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_rational_st)
+def test_floor_log2_equals_the_halving_loop(x):
+    a = bounds._floor_log2(x)
+    assert a == _floor_log2_by_halving(x)
+    assert 1 <= x / Fraction(2) ** a < 2
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(3), Fraction(1, 10), Fraction(105, 4), Fraction(2**64 + 1, 3**20),
+    Fraction(3**2000, 7), Fraction(7, 5**400), Fraction(2**1000),
+])
+def test_ln_enclosure_equals_the_halving_reduction(x):
+    assert ln_enclosure(x) == _ln_by_halving(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_rational_st)
+def test_round_up_dyadic_is_a_tight_upper_bound(x):
+    r = round_up_dyadic(x)
+    assert r >= x
+    assert (r - x) / x <= Fraction(1, 2 ** (DYADIC_BITS - 1))
+    assert r.denominator & (r.denominator - 1) == 0
 
 
 def test_ln_rejects_nonpositive():

@@ -559,6 +559,10 @@ PROFILE_200 = ",".join(["2"] * 200)
          "1fb81cb6d96740ebf556b51acb9f2c5b02c9779a1a39e5c57337b8289d8d46a0"),
         ("verify bell-ratio --n-max 30 --format structured-records", 0,
          "79f15182097238c4846f474d029bfb00a03a5077070c410bc6720b8fa3044f82"),
+        ("verify bell-ratio --n-max 400", 0,
+         "fa31b378b4b35504ba2930fae96b7420ce376a61fd72e243a093e4bad438a537"),
+        ("verify bell-ratio --n-max 400 --format structured-records", 0,
+         "265f582d6fd290592365cc676b81eaa410bda53e78e1e44ece5fcca8dc0283c3"),
         ("verify dobinski --n 0 --s-max 5", 1,
          "dabec5d2a16a936ae9516aa6cb853800484c3d7aed94898f916d5945938261a2"),
         ("verify dobinski --n 0 --s-max 5 --format structured-records", 1,
@@ -568,9 +572,9 @@ PROFILE_200 = ",".join(["2"] * 200)
         ("verify dobinski --n 12 --s-max 40 --format structured-records", 0,
          "4e098f5e5b6501c453cb718d45e8f444636cedaa50e925275f21669161b66083"),
         ("verify no-singleton --s-max 30", 0,
-         "77c51e8105cc61723baf47d6bca6422474d8c53500432c939a9ba52fa36dbcad"),
+         "637a8c282c5a542de3cbb4f3cdd79a5f5b151ded69d0a9e92d0d32a6ddb83e62"),
         ("verify no-singleton --s-max 30 --format structured-records", 0,
-         "0a91818821ca9871c70f8972996ef84a93b006b510a314c6f9371aad3f18e92b"),
+         "96e99784a69cbf15ab30f3ff5c7c93b9332701ba1d54bc5b32586baae90bbca3"),
         ("verify stirling-growth --l-max 3 --n-cap 40", 0,
          "40ab1fb105ded5fbbb5cd9a91d75a3709fdcb797850d121017ec5df5d76599fd"),
         ("verify stirling-growth --l-max 3 --n-cap 40 --format structured-records", 0,
@@ -656,7 +660,8 @@ def test_verify_output_pinned(capsys, tmp_path, argv, code, digest):
     # sha256 of the verify reports before their checks shared CheckReport.compare
     # (the later containment digests: from the per-trial Generator sampler,
     # before the sampler read raw Philox words; bell --n 6 --t 2 and blocks
-    # --n 7 --l 4 --t 1: since a report that asserts nothing reads vacuous)
+    # --n 7 --l 4 --t 1: since a report that asserts nothing reads vacuous;
+    # no-singleton: since its product is rounded up to a dyadic each step)
     singletons = tmp_path / "singletons.txt"
     singletons.write_text("N 4096\n" + "".join(f"{i}\n" for i in range(4096)), encoding="utf-8")
     assert main(argv.format(singletons=singletons).split()) == code

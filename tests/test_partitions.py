@@ -35,6 +35,14 @@ def test_bell_values():
     assert bell(10) == 115975
 
 
+def test_bell_matches_the_binomial_recurrence():
+    # B_(m+1) = sum_i C(m, i) B_i
+    ref = [1]
+    for m in range(450):
+        ref.append(sum(math.comb(m, i) * ref[i] for i in range(m + 1)))
+    assert [bell(n) for n in range(451)] == ref
+
+
 def test_bell_matches_enumeration():
     for n in range(9):
         assert len(enumerate_partitions(n)) == bell(n)

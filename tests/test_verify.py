@@ -6,9 +6,10 @@ from hypothesis import example, given, strategies as st
 
 from conftest import enumerate_uniform, family_of, select
 from partspread.errors import DomainError, PreconditionError
-from partspread.partitions import Partition, Profile, bell
+from partspread.bounds import ln_enclosure
+from partspread.partitions import Partition, Profile, bell, tilde_bell
 from partspread import verify
-from partspread.report import CheckReport
+from partspread.report import CheckReport, records_to_table
 from partspread.setfam import PlainUniverse, SetFamily
 from partspread.verify import (
     check_bell_ratio,
@@ -125,6 +126,24 @@ def test_no_singleton_bound():
     s2 = [p for p in rep.points if p.params == "s=2"][0]
     assert s2.lhs == "1" and s2.rhs == "1"  # zero margin at the base case
     assert s2.verdict == "pass"
+
+
+def test_no_singleton_counts_are_tilde_bell():
+    rep = check_no_singleton_bound(100)
+    assert [p.lhs for p in rep.points] == [str(tilde_bell(s)) for s in range(2, 101)]
+
+
+def test_no_singleton_rounding_keeps_every_verdict():
+    # the reference keeps the product exact; the check rounds it up each step
+    rep = check_no_singleton_bound(100)
+    product, want = Fraction(1), []
+    for s in range(2, 101):
+        want.append("pass" if tilde_bell(s) >= Fraction(1, 2) * product * bell(s) else "finding")
+        ln_lo = ln_enclosure(Fraction(s + 1))[0]
+        product *= (1 - 2 * ln_lo / (s + 1)) * (1 - Fraction(2 * s + 2, 3**s))
+    assert [p.verdict for p in rep.points] == want
+    assert rep.verdict == "pass"
+    assert len(records_to_table(rep.records()).encode()) < 100_000
 
 
 def test_stirling_growth_examples():
