@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -130,7 +130,10 @@ def bell(n: int) -> int:
     if n < 0:
         raise DomainError("bell(n) needs n >= 0")
     while len(_BELLS) <= n:
-        _BELL_ROW[:] = accumulate(_BELL_ROW, initial=_BELL_ROW[-1])
+        carry = _BELL_ROW[-1]
+        for i, entry in enumerate(_BELL_ROW):
+            _BELL_ROW[i], carry = carry, carry + entry
+        _BELL_ROW.append(carry)
         _BELLS.append(_BELL_ROW[0])
     return _BELLS[n]
 

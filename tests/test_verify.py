@@ -128,14 +128,10 @@ def test_no_singleton_bound():
     assert s2.verdict == "pass"
 
 
-def test_no_singleton_counts_are_tilde_bell():
-    rep = check_no_singleton_bound(100)
-    assert [p.lhs for p in rep.points] == [str(tilde_bell(s)) for s in range(2, 101)]
-
-
 def test_no_singleton_rounding_keeps_every_verdict():
     # the reference keeps the product exact; the check rounds it up each step
     rep = check_no_singleton_bound(100)
+    assert [p.lhs for p in rep.points] == [str(tilde_bell(s)) for s in range(2, 101)]
     product, want = Fraction(1), []
     for s in range(2, 101):
         want.append("pass" if tilde_bell(s) >= Fraction(1, 2) * product * bell(s) else "finding")

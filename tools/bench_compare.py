@@ -1,17 +1,16 @@
-"""Benchmark two revisions of the repository side by side and write one JSON file.
+"""Benchmark a base revision against the working tree and write one JSON file.
 
     python3 tools/bench_compare.py --base HEAD~1 --out BENCH_<n>.json
-    python3 tools/bench_compare.py --base main --head feature --out BENCH_<n>.json
 
-Each side is exported into a fresh directory: the base and head revisions
-with `git archive`, or, without --head, the working tree's tracked and
-untracked, not ignored, files.  So neither side starts with `__pycache__`
-bytecode, and the caches a run leaves behind are removed before the next
-run.  For each round, every workload of perfbench/run.py runs at the given
-seed on the base and then on the head side.  Last, the tier-1 suite runs once
-on each side.  The output holds every perfbench result line and each side's
-tier-1 wall time and summary line, and, per workload, the [base, head]
-medians of each end-to-end metric.  Run it from the repository root.
+Each side is exported into a fresh directory: the base revision with
+`git archive`, the head side as the working tree's tracked and untracked, not
+ignored, files.  So neither side starts with `__pycache__` bytecode, and the
+caches a run leaves behind are removed before the next run.  In each of
+ROUNDS rounds, every workload of perfbench/run.py runs at SEED on both sides.
+Last, the tier-1 suite runs once on each side.  The output holds every
+perfbench result line and each side's tier-1 wall time and summary line, and,
+per workload, the [base, head] medians of each end-to-end metric.  Run it
+from the repository root.
 """
 
 from __future__ import annotations
@@ -30,6 +29,9 @@ from pathlib import Path
 
 WORKLOADS = ("parts-spread", "clique-verify", "peel-edges")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+SEED = 0
+SECONDS = 40
+ROUNDS = 10  # base/head pairs per workload
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -42,12 +44,17 @@ def _git(root: Path, *args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True).stdout
 
 
-def export(root: Path, rev: str | None, dest: Path) -> str:
-    """Write the files of `rev` (None: the working tree) under dest; returns a label."""
+def export_revision(root: Path, rev: str, dest: Path) -> str:
+    """Write the files of `rev` under dest; returns its commit id."""
     dest.mkdir(parents=True)
-    if rev is not None:
-        subprocess.run(["tar", "-x", "-C", str(dest)], input=_git(root, "archive", rev), check=True)
-        return _git(root, "rev-parse", rev).decode().strip()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=_git(root, "archive", rev), check=True)
+    return _git(root, "rev-parse", rev).decode().strip()
+
+
+def export_working_tree(root: Path, dest: Path) -> str:
+    """Copy the working tree's tracked and untracked, not ignored, files under dest;
+    returns a label."""
+    dest.mkdir(parents=True)
     listed = _git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
     for name in filter(None, listed.decode().split("\0")):
         if (root / name).is_file():
@@ -61,11 +68,11 @@ def clear_bytecode(tree: Path) -> None:
         shutil.rmtree(cache)
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(tree: Path, workload: str) -> dict:
     clear_bytecode(tree)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -88,25 +95,21 @@ def tier1(tree: Path) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the baseline")
-    ap.add_argument("--head", help="git revision of the change (default: the working tree)")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=40)
-    ap.add_argument("--rounds", type=int, default=10, help="base/head pairs per workload")
     args = ap.parse_args()
 
     root = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="bench-compare-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
-        sides = {side: {"rev": export(root, rev, trees[side]), "results": {}}
-                 for side, rev in (("base", args.base), ("head", args.head))}
-        for round_ in range(args.rounds):
+        sides = {"base": {"rev": export_revision(root, args.base, trees["base"]), "results": {}},
+                 "head": {"rev": export_working_tree(root, trees["head"]), "results": {}}}
+        for round_ in range(ROUNDS):
             # alternate which side runs first, so that neither always runs on
             # the host the other has just warmed up
             order = list(trees.items())[:: -1 if round_ % 2 else 1]
             for workload in WORKLOADS:
                 for side, tree in order:
-                    result = perfbench(tree, workload, args.seed, args.seconds)
+                    result = perfbench(tree, workload)
                     sides[side]["results"].setdefault(workload, []).append(result)
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{side} {workload}: wall_s {wall:.4f}", file=sys.stderr)
@@ -116,9 +119,9 @@ def main() -> int:
     report = {
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count()},
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "rounds": args.rounds,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "rounds": ROUNDS,
         "medians": {workload: {metric: [median(side, workload, metric) for side in sides.values()]
                                for metric in END_TO_END}
                     for workload in WORKLOADS},
