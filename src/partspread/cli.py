@@ -27,6 +27,7 @@ from .extremal import (
     canonical_family,
     check_conjecture_instance,
     max_compatible_family,
+    require_oracle,
     run_catalog,
 )
 from .partitions import (
@@ -323,23 +324,31 @@ def _run_extremal(args) -> list[Record]:
             _required(args, "k"), _required(args, "l"), _required(args, "t")
         )
     if args.what == "oracle":
+        # the universe's closed-form size is refused before it is enumerated;
+        # bell and blocks ask the enumeration guard on n before computing it
         if args.setting == "bell":
-            universe = enumerate_partitions(_required(args, "n"))
-            params = {"setting": "bell", "n": args.n}
+            n = _required(args, "n")
+            guards.require("enum_max_n", n, "n")
+            size, enumerate_universe = bell(n), lambda: enumerate_partitions(n)
+            params = {"setting": "bell", "n": n}
         elif args.setting == "blocks":
-            universe = enumerate_into_blocks(_required(args, "n"), _required(args, "l"))
-            params = {"setting": "blocks", "n": args.n, "l": args.l}
-        elif args.setting == "uniform":
-            universe = enumerate_profiled(
-                Profile.uniform(_required(args, "k"), _required(args, "l"))
-            )
-            params = {"setting": "uniform", "k": args.k, "l": args.l}
-        elif args.setting == "profiled":
-            universe = enumerate_profiled(_parse_profile(_required(args, "profile")))
-            params = {"setting": "profiled", "profile": args.profile}
+            n, l = _required(args, "n"), _required(args, "l")
+            guards.require("enum_max_n", n, "n")
+            size, enumerate_universe = stirling2(n, l), lambda: enumerate_into_blocks(n, l)
+            params = {"setting": "blocks", "n": n, "l": l}
+        elif args.setting in ("uniform", "profiled"):
+            if args.setting == "uniform":
+                profile = Profile.uniform(_required(args, "k"), _required(args, "l"))
+                params = {"setting": "uniform", "k": args.k, "l": args.l}
+            else:
+                profile = _parse_profile(_required(args, "profile"))
+                params = {"setting": "profiled", "profile": args.profile}
+            size, enumerate_universe = count_profiled(profile), lambda: enumerate_profiled(profile)
         else:
             raise DomainError(f"unknown oracle setting {args.setting!r}")
-        res = max_compatible_family(universe, args.predicate, _required(args, "t"))
+        require_oracle(args.predicate, _required(args, "t"), size)
+        universe = enumerate_universe()
+        res = max_compatible_family(universe, args.predicate, args.t)
         params.update({"predicate": args.predicate, "t": args.t, "nodes": res.nodes})
         return [
             Record.make(

@@ -3,7 +3,12 @@
 The oracle builds the compatibility graph of an enumerated partition family
 under a pairwise predicate (sharing t blocks, or having blocks that meet in
 t elements) from an index of shared blocks, and finds an exact maximum
-clique by branch and bound with a greedy-coloring upper bound.  Canonical families are the conjectured-extremal
+clique by branch and bound with a greedy-coloring upper bound.  Both
+predicates are invariant under relabelling [n], whose orbits are the shapes
+(sorted block sizes).  So when no uniqueness count is asked and the universe
+is checked to be closed under relabelling, the search root branches once per
+shape orbit (orbital branching, Ostrowski et al., Math. Program. 126, 2011)
+instead of once per vertex.  Canonical families are the conjectured-extremal
 constructions; their sizes have closed forms that the generated families are
 checked against.
 """
@@ -146,7 +151,10 @@ class OracleResult:
 
 
 def _max_clique_masks(
-    adj: list[int], n: int, cap: Optional[int] = None
+    adj: list[int],
+    n: int,
+    cap: Optional[int] = None,
+    orbits: Optional[Sequence[tuple[int, int]]] = None,
 ) -> tuple[list[int], int, Optional[list[tuple[int, ...]]]]:
     """Exact maximum clique over adjacency bitmasks: (vertices, nodes, maxima).
 
@@ -161,6 +169,15 @@ def _max_clique_masks(
     improvement; every clique of a larger size is found after the first
     one, so a final list that is not None holds every maximum clique.  The
     witness is the same with or without a cap.
+
+    orbits, for a search without a cap, lists (representative, member mask)
+    pairs that partition the vertices into orbits of a graph automorphism
+    group.  The root then takes one child per orbit, in the order given:
+    child i puts its representative in the clique, searches its neighbours
+    left in the candidates, and then drops the whole orbit from them.  A
+    maximum clique whose first orbit met is i maps onto one holding the
+    representative of i and no vertex of an earlier orbit, so the size is
+    exact; the witness may differ from the plain search's.
     """
     best: list[int] = []
     nodes = 0
@@ -201,8 +218,18 @@ def _max_clique_masks(
             current.pop()
             cand ^= 1 << v
 
-    if n:
-        expand((1 << n) - 1, [])
+    cand = (1 << n) - 1
+    if orbits is None and n:
+        expand(cand, [])
+    elif orbits:
+        nodes = 1  # the root
+        for v, orbit in orbits:
+            nxt = cand & adj[v]
+            if nxt:
+                expand(nxt, [v])
+            elif not best:
+                best = [v]
+            cand &= ~orbit
     return sorted(best), nodes, None if ties is None else sorted(ties)
 
 
@@ -256,24 +283,61 @@ def _adjacency(universe: Sequence[Partition], predicate: str, t: int) -> list[in
     return [row & ~(1 << v) for v, row in enumerate(rows)]
 
 
+def _shape_orbits(universe: Sequence[Partition]) -> Optional[list[tuple[int, int]]]:
+    """(least index, index mask) of each shape class of the universe, largest
+    class first and ties in order of first appearance, when the universe is
+    closed under relabelling [n]; None when it is not.
+
+    A shape is the sorted block sizes.  The orbits of S_n on the partitions
+    of [n] are the shapes, so the universe is closed when its partitions are
+    distinct and each shape class holds all count_profiled(shape) of them.
+    """
+    classes: dict[Profile, list[int]] = {}
+    for i, p in enumerate(universe):
+        classes.setdefault(p.profile(), []).append(i)
+    if len(set(universe)) != len(universe) or any(
+        len(members) != count_profiled(shape) for shape, members in classes.items()
+    ):
+        return None
+    ordered = sorted(classes.values(), key=len, reverse=True)  # stable on ties
+    return [(members[0], sum(1 << i for i in members)) for members in ordered]
+
+
+def require_oracle(predicate: str, t: int, vertices: int) -> None:
+    """Refuse an oracle run before its graph is built: an unknown predicate,
+    a t below the least the predicate accepts, or more vertices than
+    clique_vertex_max.  A caller that knows the size of its universe in
+    closed form asks before enumerating it."""
+    if predicate not in PREDICATES:
+        raise DomainError(f"unknown predicate {predicate!r}")
+    if t < _LEAST_T[predicate]:
+        raise DomainError(f"{predicate.replace('-', '_')} needs t >= {_LEAST_T[predicate]}")
+    guards.require("clique_vertex_max", vertices, "vertices")
+
+
 def max_compatible_family(
     universe: Sequence[Partition],
     predicate: str,
     t: int,
     enumerate_all: bool = False,
 ) -> OracleResult:
-    """Exact largest pairwise-compatible subfamily of the enumerated universe."""
-    if predicate not in PREDICATES:
-        raise DomainError(f"unknown predicate {predicate!r}")
-    if t < _LEAST_T[predicate]:
-        raise DomainError(f"{predicate.replace('-', '_')} needs t >= {_LEAST_T[predicate]}")
+    """Exact largest pairwise-compatible subfamily of the enumerated universe.
+
+    Both predicates are invariant under relabelling [n].  So without
+    enumerate_all, a universe closed under relabelling has its search
+    rooted on one child per shape orbit (_shape_orbits); with enumerate_all,
+    or on a universe that is not closed, the search is the plain one.
+    """
     if len({p.n for p in universe}) > 1:
         raise DomainError("partitions over different ground sets")
     n = len(universe)
-    guards.require("clique_vertex_max", n, "vertices")
+    require_oracle(predicate, t, n)
     adj = _adjacency(universe, predicate, t)
-    cap = guards.current().clique_unique_max if enumerate_all else None
-    vertices, nodes, all_max = _max_clique_masks(adj, n, cap)
+    if enumerate_all:
+        cap, orbits = guards.current().clique_unique_max, None
+    else:
+        cap, orbits = None, _shape_orbits(universe)
+    vertices, nodes, all_max = _max_clique_masks(adj, n, cap, orbits)
     witness = [universe[i] for i in vertices]
     return OracleResult(len(vertices), witness, nodes, all_max)
 

@@ -10,8 +10,9 @@ log2 are exact power comparisons (bounds.compare_powers).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure, round_up_dyadic
 from .encoding import (
@@ -133,16 +134,28 @@ def check_stirling_growth(l_max: int, n_cap: int) -> CheckReport:
 # encoded spreadness
 
 
-def _profiled_star_count(sizes: Sequence[int], j: int, corrected: bool) -> int:
-    """Partitions containing fixed parts of sizes k_1..k_j: n_j! / prod k_i!.
+def _profiled_star_counts(sizes: Sequence[int], j: int) -> Iterator[tuple[int, int]]:
+    """(printed, corrected) counts of the partitions containing fixed parts of
+    sizes k_1..k_i, for i = j, j + 1, ..., len(sizes).
 
-    With corrected=True the free blocks are unordered, which is
-    count_profiled of their sizes.
+    printed is n_i! / prod_(m > i) k_m!, n_i the free elements: the free
+    blocks ordered.  corrected leaves them unordered, which is count_profiled
+    of their sizes.  Fixing one more part, of size k, divides printed by
+    C(n_i, k), and corrected also multiplies by the free parts of size k.
     """
     free = sizes[j:]
-    if corrected:
-        return count_profiled(Profile(free))
-    return math.factorial(sum(free)) // math.prod(math.factorial(k) for k in free)
+    left = Counter(free)  # free parts of each size
+    n = sum(free)
+    printed = math.factorial(n) // math.prod(math.factorial(k) for k in free)
+    corrected = count_profiled(Profile(free))
+    for k in free:
+        yield printed, corrected
+        ways = math.comb(n, k)
+        printed //= ways
+        corrected = corrected * left[k] // ways
+        left[k] -= 1
+        n -= k
+    yield printed, corrected
 
 
 def _subpartition_shapes(k: int, l: int):
@@ -288,9 +301,10 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
         _weak_spread_point(rep, {"claim": "weak-spread"}, fam, t, Fraction(l * l, 12), gate)
     if mode in ("formula", "both"):
         cap = l - t if s_max is None else min(s_max, l - t)
-        a_t = {c: _profiled_star_count(sizes, t, c) for c in (False, True)}
+        stars = _profiled_star_counts(sizes, t)
+        a_t = next(stars)
         mismatches = []
-        for s in range(1, cap + 1):
+        for s, a_ts in zip(range(1, cap + 1), stars):
             rhs = Fraction(l, 12) ** (2 * s)
             # the printed formula is the one the chain asserts; the
             # multiplicity-corrected variant is reported alongside and a
@@ -298,12 +312,12 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
             printed, corrected = (
                 rep.compare(
                     {"s": s, "variant": variant},
-                    Fraction(a_t[c], _profiled_star_count(sizes, t + s, c)),
+                    Fraction(a_t[c], a_ts[c]),
                     rhs,
                     asserted=gate,
                     miss=miss,
                 )
-                for variant, c, miss in (("printed", False, FAIL), ("corrected", True, FINDING))
+                for variant, c, miss in (("printed", 0, FAIL), ("corrected", 1, FINDING))
             )
             if printed != corrected:
                 mismatches.append(s)

@@ -319,6 +319,28 @@ def test_enumeration_guard_refusal(capsys, argv):
     assert captured.err == "error: ENUM_MAX_N: n=14 exceeds the guard 13\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--setting bell --n 10", "CLIQUE_VERTEX_MAX: vertices=115975 exceeds the guard 3000"),
+        ("--setting bell --n 14", "ENUM_MAX_N: n=14 exceeds the guard 13"),
+        ("--setting blocks --n 9 --l 4", "CLIQUE_VERTEX_MAX: vertices=7770 exceeds the guard 3000"),
+        ("--setting uniform --k 2 --l 6", "CLIQUE_VERTEX_MAX: vertices=10395 exceeds the guard 3000"),
+        ("--setting profiled --profile 1,2,3,4",
+         "CLIQUE_VERTEX_MAX: vertices=12600 exceeds the guard 3000"),
+        ("--setting bell --n 10 --predicate t-intersect --t -1", "t_intersect needs t >= 0"),
+    ],
+)
+def test_oracle_refused_before_enumerating(monkeypatch, capsys, argv, message):
+    # the closed-form universe size is refused before any enumerator runs
+    for name in ("enumerate_partitions", "enumerate_into_blocks", "enumerate_profiled"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("enumerated"))
+    if "--t" not in argv:
+        argv += " --t 2"
+    assert main(["extremal", "oracle", *argv.split()]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("guard", [[], ["--guard-enum", "1"]])
 def test_count_derangements_walks_no_partition(capsys, guard):
     # an inclusion-exclusion sum: no enumeration, so no enumeration guard

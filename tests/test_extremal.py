@@ -291,23 +291,67 @@ BELL_7_WITNESS = [
 ]
 
 
+PINNED_INSTANCES = [
+    (lambda: enumerate_uniform(2, 5), "partially-t-intersect", 2),
+    (lambda: enumerate_into_blocks(7, 5), "t-intersect", 1),
+    (lambda: enumerate_partitions(7), "t-intersect", 2),
+]
+PINNED_IDS = ["uniform-2-5", "blocks-7-5", "bell-7"]
+
+
 @pytest.mark.parametrize(
-    "universe, predicate, t, size, nodes, witness",
-    [
-        (lambda: enumerate_uniform(2, 5), "partially-t-intersect", 2, 105, 1154,
-         list(range(840, 945))),
-        (lambda: enumerate_into_blocks(7, 5), "t-intersect", 1, 65, 6493, BLOCKS_7_5_WITNESS),
-        (lambda: enumerate_partitions(7), "t-intersect", 2, 52, 17163, BELL_7_WITNESS),
-    ],
-    ids=["uniform-2-5", "blocks-7-5", "bell-7"],
+    "instance, nodes, witness",
+    zip(PINNED_INSTANCES, [1154, 6493, 17163],
+        [list(range(840, 945)), BLOCKS_7_5_WITNESS, BELL_7_WITNESS]),
+    ids=PINNED_IDS,
 )
-def test_oracle_nodes_pinned(universe, predicate, t, size, nodes, witness):
-    # the plain search (no uniqueness cap) visits exactly these nodes and
-    # ends on this witness (vertex indices into the enumeration order)
+def test_oracle_nodes_pinned(instance, nodes, witness):
+    # the plain search (no uniqueness cap, no orbits) visits exactly these
+    # nodes and ends on this witness (vertex indices into the enumeration order)
+    universe, predicate, t = instance
+    members = universe()
+    adj = extremal._adjacency(members, predicate, t)
+    assert extremal._max_clique_masks(adj, len(members)) == (witness, nodes, None)
+
+
+@pytest.mark.parametrize(
+    "instance, size, nodes", zip(PINNED_INSTANCES, [105, 65, 52], [122, 830, 65]), ids=PINNED_IDS
+)
+def test_orbital_oracle_nodes_pinned(instance, size, nodes):
+    # each universe is closed under relabelling, so the root branches on one
+    # representative per shape orbit
+    universe, predicate, t = instance
     members = universe()
     res = max_compatible_family(members, predicate, t)
     assert (res.max_size, res.nodes, res.all_maximum) == (size, nodes, None)
-    assert [members.index(p) for p in res.witness] == witness
+    pred = extremal.PREDICATES[predicate]
+    assert all(pred(p, q, t) for p, q in combinations(res.witness, 2))
+
+
+def test_universe_not_closed_takes_the_plain_search():
+    # a subset missing one partition of its shape, and a closed universe with
+    # one partition listed twice, both keep the plain root (rooted on the
+    # shape classes, they would take 28 and 33 nodes)
+    full = enumerate_into_blocks(6, 4)
+    assert extremal._shape_orbits(full) is not None
+    for universe in (full[1:], full + full[:1]):
+        assert extremal._shape_orbits(universe) is None
+        res = max_compatible_family(universe, "t-intersect", 1)
+        adj = extremal._adjacency(universe, "t-intersect", 1)
+        vertices, nodes, _ = extremal._max_clique_masks(adj, len(universe))
+        assert (res.max_size, res.nodes) == (len(vertices), nodes)
+        assert res.witness == [universe[i] for i in vertices]
+
+
+def test_uniqueness_search_keeps_the_plain_root():
+    # the capped search counts every maximum clique, so it takes no orbits
+    (uniq,) = select(check_conjecture_instance(2, 4, 2), "conjecture-uniqueness")
+    assert uniq.params == "k=2,l=4,t=2,maximum_cliques=28" and uniq.verdict == "pass"
+    universe = enumerate_uniform(2, 4)
+    res = max_compatible_family(universe, "partially-t-intersect", 2, enumerate_all=True)
+    adj = extremal._adjacency(universe, "partially-t-intersect", 2)
+    capped = extremal._max_clique_masks(adj, len(universe), guards.current().clique_unique_max)
+    assert (res.nodes, res.all_maximum) == capped[1:] and len(capped[2]) == 28
 
 
 def test_uniqueness_cap_boundary():

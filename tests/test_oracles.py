@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_uniform, family_of
 from partspread.exact import ExactPow
-from partspread.extremal import PREDICATES, _adjacency, _max_clique_masks
+from partspread.extremal import PREDICATES, _adjacency, _max_clique_masks, _shape_orbits
 from partspread.partitions import (
     Profile,
     enumerate_into_blocks,
@@ -283,6 +283,35 @@ def test_adjacency_kernel_against_pairwise_predicates():
     assert _adjacency(full, "partially-t-intersect", 1) == complete
     assert _adjacency(full, "t-intersect", 5) == [0] * 15
     assert _adjacency(full, "partially-t-intersect", 5) == [0] * 15
+
+
+def _closed_universes():
+    """Universes closed under relabelling: every bell n <= 6, every blocks
+    n <= 7, every profile of n <= 7, and the uniform (k,l) up to (6,2).
+    Larger uniform universes within the vertex guard are left out: the plain
+    search on (3,3) runs for about a minute, and the complete graph on (2,5)
+    recurses about 945 deep."""
+    cases = [enumerate_partitions(n) for n in range(7)]
+    cases += [enumerate_into_blocks(n, l) for n in range(1, 8) for l in range(1, n + 1)]
+    shapes = {p.profile() for n in range(1, 8) for p in enumerate_partitions(n)}
+    cases += [enumerate_profiled(shape) for shape in sorted(shapes, key=lambda s: s.sizes)]
+    cases += [enumerate_uniform(k, l) for k, l in ((2, 4), (4, 2), (5, 2), (6, 2))]
+    return cases
+
+
+def test_orbital_root_against_plain_search():
+    # the size equals the plain search's and the witness is a clique, for
+    # every t from the least accepted to one above the largest block
+    for universe in _closed_universes():
+        orbits = _shape_orbits(universe)
+        assert orbits is not None
+        for predicate, least in (("t-intersect", 0), ("partially-t-intersect", 1)):
+            for t in range(least, universe[0].n + 2):
+                adj = _adjacency(universe, predicate, t)
+                plain, _, _ = _max_clique_masks(adj, len(universe))
+                orbital, _, _ = _max_clique_masks(adj, len(universe), orbits=orbits)
+                assert len(orbital) == len(plain), (universe[0], predicate, t)
+                assert all(adj[a] >> b & 1 for a, b in combinations(orbital, 2))
 
 
 B6 = enumerate_partitions(6)

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from conftest import enumerate_uniform, family_of, select
 from partspread.errors import DomainError, PreconditionError
 from partspread.bounds import ln_enclosure
-from partspread.partitions import Partition, Profile, bell, tilde_bell
+from partspread.partitions import Partition, Profile, bell, count_profiled, tilde_bell
 from partspread import verify
 from partspread.report import CheckReport, records_to_table
 from partspread.setfam import PlainUniverse, SetFamily
@@ -25,14 +25,18 @@ from partspread.verify import (
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=40), st.integers(0, 40))
 def test_profiled_star_count_matches_reference(sizes, j):
-    # the printed (ordered free blocks) count against one division per block
+    # the running quotients against one division per block (printed: the free
+    # blocks ordered) and count_profiled of the free sizes (corrected)
     sizes = sorted(sizes)
     j = min(j, len(sizes))
-    free = sizes[j:]
-    count = math.factorial(sum(free))
-    for k in free:
-        count //= math.factorial(k)
-    assert verify._profiled_star_count(sizes, j, False) == count
+    expected = []
+    for i in range(j, len(sizes) + 1):
+        free = sizes[i:]
+        printed = math.factorial(sum(free))
+        for k in free:
+            printed //= math.factorial(k)
+        expected.append((printed, count_profiled(Profile(free))))
+    assert list(verify._profiled_star_counts(sizes, j)) == expected
 
 
 def test_bell_ratio_small_points():

@@ -9,8 +9,10 @@ caches a run leaves behind are removed before the next run.  In each of
 ROUNDS rounds, every workload of perfbench/run.py runs at SEED on both sides.
 Last, the tier-1 suite runs once on each side.  The output holds every
 perfbench result line and each side's tier-1 wall time and summary line, and,
-per workload, the [base, head] medians of each end-to-end metric.  Run it
-from the repository root.
+per workload, the [base, head] medians of each end-to-end metric.  When the
+output is named BENCH_<n>.json and a BENCH_<m>.json with m < n sits next to
+it, the head medians are also set against the head medians of the one with
+the largest m, under "since".  Run it from the repository root.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -92,6 +95,36 @@ def tier1(tree: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def _bench_number(path: Path) -> int | None:
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(match[1]) if match else None
+
+
+def since_previous(out: Path, medians: dict) -> dict | None:
+    """Each head median against the head median of the previous BENCH file
+    next to out: {"file", "medians": {workload: {metric: {previous, now, change}}}}."""
+    n = _bench_number(out)
+    earlier = sorted(
+        (m, path) for path in out.parent.glob("BENCH_*.json")
+        if n is not None and (m := _bench_number(path)) is not None and m < n
+    )
+    if not earlier:
+        return None
+    previous = earlier[-1][1]
+    before = json.loads(previous.read_text(encoding="utf-8"))["medians"]
+    return {
+        "file": previous.name,
+        "medians": {
+            workload: {
+                metric: {"previous": before[workload][metric][1], "now": now,
+                         "change": now - before[workload][metric][1]}
+                for metric, (_, now) in metrics.items() if metric in before.get(workload, {})
+            }
+            for workload, metrics in medians.items()
+        },
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the baseline")
@@ -116,15 +149,17 @@ def main() -> int:
         for side, tree in trees.items():
             sides[side]["tier1"] = tier1(tree)
             print(f"{side} tier-1: {sides[side]['tier1']}", file=sys.stderr)
+    medians = {workload: {metric: [median(side, workload, metric) for side in sides.values()]
+                          for metric in END_TO_END}
+               for workload in WORKLOADS}
     report = {
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count()},
         "seed": SEED,
         "seconds": SECONDS,
         "rounds": ROUNDS,
-        "medians": {workload: {metric: [median(side, workload, metric) for side in sides.values()]
-                               for metric in END_TO_END}
-                    for workload in WORKLOADS},
+        "medians": medians,
+        "since": since_previous(args.out, medians),
         **sides,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
