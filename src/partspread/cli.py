@@ -21,7 +21,7 @@ from .approx import (
     verify_approx,
 )
 from .encoding import encode_family_edges, encode_family_parts
-from .errors import DomainError, IntegrityError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .exact import parse_ratio
 from .extremal import (
     canonical_family,
@@ -556,7 +556,7 @@ def run(args) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (DomainError, PreconditionError, ResourceLimitError, IntegrityError, OSError) as exc:
+    except (DomainError, PreconditionError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if any(r.verdict == FAIL for r in records) else 0

@@ -3,14 +3,15 @@
 The oracle builds the compatibility graph of an enumerated partition family
 under a pairwise predicate (sharing t blocks, or having blocks that meet in
 t elements) from an index of shared blocks, and finds an exact maximum
-clique by branch and bound with a greedy-coloring upper bound.  Both
-predicates are invariant under relabelling [n], whose orbits are the shapes
-(sorted block sizes).  So when no uniqueness count is asked and the universe
-is checked to be closed under relabelling, the search root branches once per
-shape orbit (orbital branching, Ostrowski et al., Math. Program. 126, 2011)
-instead of once per vertex.  Canonical families are the conjectured-extremal
-constructions; their sizes have closed forms that the generated families are
-checked against.
+clique by branch and bound with a greedy-coloring upper bound, one loop
+over an explicit stack of nodes.  Both predicates are invariant under
+relabelling [n], whose orbits are the shapes (sorted block sizes).  So when
+no uniqueness count is asked and the universe is checked to be closed under
+relabelling, the root of that loop branches once per shape orbit (orbital
+branching, Ostrowski et al., Math. Program. 126, 2011) instead of once per
+vertex.  Canonical families are the conjectured-extremal constructions;
+their sizes have closed forms that the generated families are checked
+against.
 """
 
 from __future__ import annotations
@@ -158,79 +159,78 @@ def _max_clique_masks(
 ) -> tuple[list[int], int, Optional[list[tuple[int, ...]]]]:
     """Exact maximum clique over adjacency bitmasks: (vertices, nodes, maxima).
 
-    Each node colors its candidates greedily: color classes are independent
-    sets, each taken lowest vertex first, and the vertices are branched on
-    in reverse coloring order.  Without a cap a branch is pruned when its
-    coloring bound cannot beat the best size, and maxima is None.  With a
-    cap, branches whose bound ties the best size are searched too, so the
-    same pass collects every clique of the best size (sorted vertex tuples);
-    a strictly larger clique restarts the list.  More than cap ties set it
-    to None, and the search prunes as without a cap until the next
-    improvement; every clique of a larger size is found after the first
-    one, so a final list that is not None holds every maximum clique.  The
-    witness is the same with or without a cap.
+    One loop runs every node from an explicit stack, so the clique depth has
+    no recursion limit.  A node is a candidate set and a list of branches
+    (vertex, color bound, bits dropped from the candidates after it): its
+    candidates colored greedily, color classes being independent sets taken
+    lowest vertex first, and branched on in reverse coloring order.  Without
+    a cap a branch whose bound cannot beat the best size ends its node, and
+    maxima is None.  With a cap, branches whose bound ties the best size are
+    searched too, so the same pass collects every clique of the best size
+    (sorted vertex tuples); a strictly larger clique restarts the list.
+    More than cap ties set it to None, and the search prunes as without a
+    cap until the next improvement; every clique of a larger size is found
+    after the first one, so a final list that is not None holds every
+    maximum clique.  The witness is the same with or without a cap.  A node
+    counts when it is entered, the root when it has a branch.
 
     orbits, for a search without a cap, lists (representative, member mask)
     pairs that partition the vertices into orbits of a graph automorphism
-    group.  The root then takes one child per orbit, in the order given:
-    child i puts its representative in the clique, searches its neighbours
-    left in the candidates, and then drops the whole orbit from them.  A
-    maximum clique whose first orbit met is i maps onto one holding the
-    representative of i and no vertex of an earlier orbit, so the size is
-    exact; the witness may differ from the plain search's.
+    group.  The root then has one branch per orbit, in the order given and
+    never pruned (bound n + 1): it takes the representative and drops the
+    whole orbit.  A maximum clique whose first orbit met is i maps onto one
+    holding the representative of i and no vertex of an earlier orbit, so
+    the size is exact; the witness may differ from the plain search's.
     """
     best: list[int] = []
-    nodes = 0
+    nodes = 1 if n else 0
     ties = [()] if cap else None  # the empty clique is the maximum of no vertices
     # keep[v] clears v and its neighbours from a color class being built
     keep = [~(row | 1 << v) for v, row in enumerate(adj)]
-
-    def expand(cand: int, current: list[int]) -> None:
-        nonlocal best, nodes, ties
-        nodes += 1
-        order: list[tuple[int, int]] = []  # (vertex, color), colors nondecreasing
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= keep[v]
-                rest ^= low
-                order.append((v, color))
-        for v, color in reversed(order):
-            # while collecting, a bound that ties the best size still branches
-            if len(current) + color < len(best) + (ties is None):
-                return
-            current.append(v)
-            nxt = cand & adj[v]
-            if nxt:
-                expand(nxt, current)
-            elif len(current) > len(best):
-                best = list(current)
-                ties = None if cap is None else [tuple(sorted(best))]
-            elif ties is not None and len(current) == len(best):
-                ties.append(tuple(sorted(current)))
-            if ties is not None and len(ties) > cap:
-                ties = None
-            current.pop()
-            cand ^= 1 << v
-
+    current: list[int] = []  # the clique of the active node
+    stack: list[tuple[int, list[tuple[int, int, int]]]] = []  # the nodes above it
     cand = (1 << n) - 1
-    if orbits is None and n:
-        expand(cand, [])
-    elif orbits:
-        nodes = 1  # the root
-        for v, orbit in orbits:
-            nxt = cand & adj[v]
-            if nxt:
-                expand(nxt, [v])
-            elif not best:
-                best = [v]
-            cand &= ~orbit
-    return sorted(best), nodes, None if ties is None else sorted(ties)
+    branches = None if orbits is None else [(v, n + 1, orbit) for v, orbit in reversed(orbits)]
+    while True:
+        if branches is None:  # a node just entered: colors nondecreasing
+            branches = []
+            color = 0
+            rest = cand
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    avail &= keep[v]
+                    rest ^= low
+                    branches.append((v, color, low))
+        if branches:
+            v, color, drop = branches.pop()
+            # while collecting, a bound that ties the best size still branches
+            if len(current) + color >= len(best) + (ties is None):
+                current.append(v)
+                nxt = cand & adj[v]
+                cand &= ~drop
+                if nxt:
+                    stack.append((cand, branches))
+                    cand, branches = nxt, None
+                    nodes += 1
+                    continue
+                if len(current) > len(best):
+                    best = list(current)
+                    ties = None if cap is None else [tuple(sorted(best))]
+                elif ties is not None and len(current) == len(best):
+                    ties.append(tuple(sorted(current)))
+                if ties is not None and len(ties) > cap:
+                    ties = None
+                current.pop()
+                continue
+        # the node is done, or the rest of it pruned: back to its parent
+        if not stack:
+            return sorted(best), nodes, None if ties is None else sorted(ties)
+        cand, branches = stack.pop()
+        current.pop()
 
 
 PREDICATES: dict[str, Callable[[Partition, Partition, int], bool]] = {
@@ -324,9 +324,9 @@ def max_compatible_family(
     """Exact largest pairwise-compatible subfamily of the enumerated universe.
 
     Both predicates are invariant under relabelling [n].  So without
-    enumerate_all, a universe closed under relabelling has its search
-    rooted on one child per shape orbit (_shape_orbits); with enumerate_all,
-    or on a universe that is not closed, the search is the plain one.
+    enumerate_all, a universe closed under relabelling has its search root
+    branch once per shape orbit (_shape_orbits); with enumerate_all, or on a
+    universe that is not closed, the root is colored as every other node.
     """
     if len({p.n for p in universe}) > 1:
         raise DomainError("partitions over different ground sets")

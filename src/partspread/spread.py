@@ -293,23 +293,22 @@ def find_spread_subfamily(f: SetFamily, alpha) -> tuple[ElementSet, SetFamily]:
 
 
 def _pack_disjoint(residues: list[tuple[int, int]], need: int) -> Optional[list[int]]:
-    """Indices of `need` pairwise-disjoint residues, or None; exact DFS."""
-    order = sorted(range(len(residues)), key=lambda i: (residues[i][0].bit_count(), i))
-
-    def go(pos: int, used: int, acc: list[int]) -> Optional[list[int]]:
-        if len(acc) == need:
-            return acc
-        if len(order) - pos < need - len(acc):
+    """Indices of `need` pairwise-disjoint residues, or None; exact DFS in one
+    loop over an explicit stack, one level per residue taken, smallest first."""
+    order = sorted(residues, key=lambda r: r[0].bit_count())  # ties keep their order
+    stack: list[tuple[int, int]] = []  # (position after the residue taken, used before it)
+    pos, used = 0, 0
+    while len(stack) < need:
+        while pos < len(order) and order[pos][0] & used:
+            pos += 1
+        if len(order) - pos >= need - len(stack):
+            stack.append((pos + 1, used))
+            pos, used = pos + 1, used | order[pos][0]
+        elif stack:  # too few residues left: back to the level above
+            pos, used = stack.pop()
+        else:
             return None
-        for idx in range(pos, len(order)):
-            rm, original = residues[order[idx]]
-            if rm & used == 0:
-                got = go(idx + 1, used | rm, acc + [original])
-                if got is not None:
-                    return got
-        return None
-
-    return go(0, 0, [])
+    return [order[p - 1][1] for p, _ in stack]
 
 
 def find_sunflower(f: SetFamily, l: int) -> Optional[tuple[ElementSet, list[ElementSet]]]:

@@ -158,21 +158,22 @@ def _profiled_star_counts(sizes: Sequence[int], j: int) -> Iterator[tuple[int, i
     yield printed, corrected
 
 
-def _subpartition_shapes(k: int, l: int):
-    """Block-size multisets (non-increasing tuples) with sizes in [2, k]."""
+def _subpartition_shapes(k: int, l: int) -> list[tuple[tuple[int, ...], int]]:
+    """(shape, count_extensions) of each block-size multiset (a non-increasing
+    tuple, sizes in [2, k]) that some uniform (k,l) partition extends.
+
+    A depth-first loop over an explicit stack, each shape before those it
+    prefixes and smaller sizes first.  A shape that no partition extends
+    prefixes none that one does, so it is not grown.
+    """
     shapes = []
-
-    def grow(prefix: tuple[int, ...], largest: int):
-        for size in range(2, largest + 1):
-            if len(prefix) + 1 > l:
-                continue
-            if sum(prefix) + size > k * l:
-                continue
-            shape = prefix + (size,)
-            shapes.append(shape)
-            grow(shape, size)
-
-    grow((), k)
+    stack = [(size,) for size in range(k, 1, -1)]
+    while stack:
+        shape = stack.pop()
+        ext = count_extensions(k, l, shape) if sum(shape) <= k * l else 0
+        if ext:
+            shapes.append((shape, ext))
+            stack.extend(shape + (size,) for size in range(shape[-1], 1, -1))
     return shapes
 
 
@@ -379,9 +380,8 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
             )
     if mode in ("formula", "both"):
         u_full = u_count(k, l)
-        for shape in _subpartition_shapes(k, l):
+        for shape, ext in _subpartition_shapes(k, l):
             m_x = sum(shape) - len(shape)
-            ext = count_extensions(k, l, shape)
             for claim, power, rhs in (
                 ("ratio", 1, Fraction(9, l) ** m_x),
                 ("ratio-cube", 3, f"(9/l)^({m_x}/3)"),

@@ -12,7 +12,7 @@ from conftest import enumerate_uniform
 from partspread import cli, guards, verify
 from partspread.cli import load_family, load_subfamily, main
 from partspread.encoding import encode_edges, encode_family_edges, encode_parts
-from partspread.errors import DomainError, ResourceLimitError
+from partspread.errors import DomainError, IntegrityError, ResourceLimitError
 from partspread.extremal import canonical_family
 from partspread.partitions import Profile, enumerate_into_blocks, tilde_bell
 from partspread.setfam import family_to_text
@@ -765,6 +765,34 @@ def test_programming_error_propagates(monkeypatch):
     monkeypatch.setitem(cli.HANDLERS, "count", broken)
     with pytest.raises(TypeError, match="a defect"):
         main(["count", "bell", "--n", "3"])
+
+
+def test_integrity_error_propagates(monkeypatch):
+    # a failed internal self-check is a defect, not a usage error (exit 2)
+    def broken(*args):
+        raise IntegrityError("canonical family size 1 != closed form 2")
+
+    monkeypatch.setattr(cli, "check_conjecture_instance", broken)
+    with pytest.raises(IntegrityError, match="closed form"):
+        main(["extremal", "conjecture", "--k", "2", "--l", "3", "--t", "2"])
+
+
+def test_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # a clique of 1,716 vertices (the complete graph on u(7,2)) and a
+    # sunflower of 1,100 petals, each search deeper than Python's recursion limit
+    argv = "extremal oracle --setting uniform --k 7 --l 2 --predicate t-intersect --t 0"
+    code, out = run_cli(capsys, *argv.split(), "--format", "structured-records")
+    assert code == 0
+    assert out.split("\t")[1:4] == [
+        "setting=uniform,k=7,l=2,predicate=t-intersect,t=0,nodes=1716", "1716", "1716"
+    ]
+    path = tmp_path / "singletons.txt"
+    path.write_text("N 1200\n" + "".join(f"{i}\n" for i in range(1200)))
+    argv = ["spread", "sunflower", "--family", f"file:{path}", "--l", "1100"]
+    code, out = run_cli(capsys, *argv, "--format", "structured-records")
+    _, _, core, _, petals, _ = out.rstrip("\n").split("\t")
+    assert code == 0
+    assert core == "[]" and petals.split(";") == [f"[{i}]" for i in range(1100)]
 
 
 def test_load_subfamily_encodes_over_the_ambient(tmp_path):

@@ -24,6 +24,7 @@ from partspread.partitions import (
     u_count,
 )
 from partspread.setfam import EdgesUniverse, ElementSet, PartsUniverse
+from partspread.spread import candidate_counts
 from partspread.verify import _subpartition_shapes
 
 
@@ -177,11 +178,28 @@ def test_count_extensions_against_the_grouping_sum():
     cases = 0
     for k in range(2, 6):
         for l in range(1, 16 // k + 1):
-            for shape in _subpartition_shapes(k, l):
+            for shape, _ in _subpartition_shapes(k, l):
                 for sizes in (shape, shape[::-1]):
                     assert count_extensions(k, l, sizes) == _grouping_sum(k, l, sizes), sizes
                     cases += 1
-    assert cases == 406
+    assert cases == 560
+
+
+@pytest.mark.parametrize("k, l", [(2, 3), (3, 2), (4, 2), (2, 4)])
+def test_formula_shapes_are_the_candidate_shapes(k, l):
+    # the shapes formula mode checks are exactly the component-size shapes
+    # of the nonempty candidate edge sets of the encoded family; at (4,2)
+    # two components can share a part, as in (2,2,2) and (4,2,2)
+    u, fam = encode_family_edges(enumerate_uniform(k, l))
+    candidates = {
+        tuple(sorted(map(len, edges_to_subpartition(ElementSet(u, x)).blocks), reverse=True))
+        for x in candidate_counts(fam)
+        if x
+    }
+    shapes = _subpartition_shapes(k, l)
+    assert {shape for shape, _ in shapes} == candidates
+    assert len(shapes) == len(candidates)
+    assert all(ext == count_extensions(k, l, shape) for shape, ext in shapes)
 
 
 def test_count_extensions_examples():

@@ -268,14 +268,14 @@ def test_conjecture_guards():
         check_conjecture_instance(2, 3, 3)  # t > k
 
 
-def test_closed_form_mismatch_is_integrity_error(monkeypatch, capsys):
+def test_closed_form_mismatch_is_integrity_error(monkeypatch):
     monkeypatch.setattr(extremal, "_partial_expected", lambda profile, t: 99)
     with pytest.raises(IntegrityError, match="closed form 99"):
         canonical_family("partial", t=2, profile=Profile.uniform(2, 3))
+    # a failed self-check is a defect, so the CLI lets it propagate
     argv = ["extremal", "canonical", "--setting", "partial", "--profile", "2,2,2", "--t", "2"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: canonical family size") and "Traceback" not in err
+    with pytest.raises(IntegrityError, match="closed form 99"):
+        main(argv)
 
 
 BLOCKS_7_5_WITNESS = [

@@ -23,6 +23,7 @@ from partspread.partitions import (
 )
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily, covering_number
 from partspread.spread import (
+    _pack_disjoint,
     find_sunflower,
     is_r_spread,
     spread_factor,
@@ -145,6 +146,41 @@ def test_find_sunflower_against_subset_scan():
                 assert inter == core.mask
 
 
+def _recursive_pack_disjoint(residues, need):
+    """The recursive depth-first packing the loop in `_pack_disjoint` replaced."""
+    order = sorted(range(len(residues)), key=lambda i: (residues[i][0].bit_count(), i))
+
+    def go(pos, used, acc):
+        if len(acc) == need:
+            return acc
+        if len(order) - pos < need - len(acc):
+            return None
+        for idx in range(pos, len(order)):
+            rm, original = residues[order[idx]]
+            if rm & used == 0:
+                got = go(idx + 1, used | rm, acc + [original])
+                if got is not None:
+                    return got
+        return None
+
+    return go(0, 0, [])
+
+
+def test_pack_disjoint_against_recursive_search():
+    # the same indices in the same depth-first order, found or not
+    rnd = random.Random(23)
+    for _ in range(3000):
+        width = rnd.randint(1, 10)
+        residues = [
+            (rnd.getrandbits(width) & rnd.getrandbits(width), rnd.randrange(100))
+            for _ in range(rnd.randint(0, 10))
+        ]
+        need = rnd.randint(0, 5)
+        assert _pack_disjoint(residues, need) == _recursive_pack_disjoint(residues, need)
+    singletons = [(1 << i, i) for i in range(1200)]
+    assert _pack_disjoint(singletons, 1100) == list(range(1100))  # no recursion limit
+
+
 def test_covering_number_against_subset_scan():
     rnd = random.Random(13)
     for _ in range(25):
@@ -248,6 +284,85 @@ def test_capped_search_matches_plain_search(graph, cap):
     assert capped[2] == (every if len(every) <= cap else None)
 
 
+def _recursive_max_clique_masks(adj, n, cap=None, orbits=None):
+    """The search `_max_clique_masks` ran before its one loop: a recursive
+    `expand` per node and a separate root loop over the orbits."""
+    best = []
+    nodes = 0
+    ties = [()] if cap else None
+    keep = [~(row | 1 << v) for v, row in enumerate(adj)]
+
+    def expand(cand, current):
+        nonlocal best, nodes, ties
+        nodes += 1
+        order = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= keep[v]
+                rest ^= low
+                order.append((v, color))
+        for v, color in reversed(order):
+            if len(current) + color < len(best) + (ties is None):
+                return
+            current.append(v)
+            nxt = cand & adj[v]
+            if nxt:
+                expand(nxt, current)
+            elif len(current) > len(best):
+                best = list(current)
+                ties = None if cap is None else [tuple(sorted(best))]
+            elif ties is not None and len(current) == len(best):
+                ties.append(tuple(sorted(current)))
+            if ties is not None and len(ties) > cap:
+                ties = None
+            current.pop()
+            cand ^= 1 << v
+
+    cand = (1 << n) - 1
+    if orbits is None and n:
+        expand(cand, [])
+    elif orbits:
+        nodes = 1
+        for v, orbit in orbits:
+            nxt = cand & adj[v]
+            if nxt:
+                expand(nxt, [v])
+            elif not best:
+                best = [v]
+            cand &= ~orbit
+    return sorted(best), nodes, None if ties is None else sorted(ties)
+
+
+def test_clique_loop_against_recursive_search():
+    # the same (vertices, nodes, maxima) for every cap, and for a random
+    # grouping of the vertices passed as orbits, on graphs of every density
+    rnd = random.Random(2311)
+    for _ in range(800):
+        n = rnd.randrange(28)
+        density = rnd.random()
+        adj = [0] * n
+        for i, j in combinations(range(n), 2):
+            if rnd.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        for cap in (None, 0, 1, 3, 10**4):
+            assert _max_clique_masks(adj, n, cap) == _recursive_max_clique_masks(adj, n, cap)
+        vertices = rnd.sample(range(n), n)
+        orbits = []
+        while vertices:
+            size = rnd.randint(1, len(vertices))
+            group, vertices = vertices[:size], vertices[size:]
+            orbits.append((rnd.choice(group), sum(1 << v for v in group)))
+        got = _max_clique_masks(adj, n, orbits=orbits)
+        assert got == _recursive_max_clique_masks(adj, n, orbits=orbits)
+
+
 def _pairwise_adjacency(universe, predicate, t):
     """The compatibility graph from one predicate call per pair."""
     pred = PREDICATES[predicate]
@@ -287,15 +402,14 @@ def test_adjacency_kernel_against_pairwise_predicates():
 
 def _closed_universes():
     """Universes closed under relabelling: every bell n <= 6, every blocks
-    n <= 7, every profile of n <= 7, and the uniform (k,l) up to (6,2).
-    Larger uniform universes within the vertex guard are left out: the plain
-    search on (3,3) runs for about a minute, and the complete graph on (2,5)
-    recurses about 945 deep."""
+    n <= 7, every profile of n <= 7, and the uniform (k,l) up to (6,2) and
+    (2,5).  The other uniform universes within the vertex guard are left
+    out for time: the plain search on (3,3) runs for about a minute."""
     cases = [enumerate_partitions(n) for n in range(7)]
     cases += [enumerate_into_blocks(n, l) for n in range(1, 8) for l in range(1, n + 1)]
     shapes = {p.profile() for n in range(1, 8) for p in enumerate_partitions(n)}
     cases += [enumerate_profiled(shape) for shape in sorted(shapes, key=lambda s: s.sizes)]
-    cases += [enumerate_uniform(k, l) for k, l in ((2, 4), (4, 2), (5, 2), (6, 2))]
+    cases += [enumerate_uniform(k, l) for k, l in ((2, 4), (2, 5), (4, 2), (5, 2), (6, 2))]
     return cases
 
 
