@@ -249,23 +249,31 @@ def enumerate_into_blocks(n: int, l: int) -> list[Partition]:
 def _gen_profiled(
     elems: tuple[int, ...], sizes: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Blocks over elems with the given size multiset, minima increasing."""
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    tried: set[int] = set()
-    for i, size in enumerate(sizes):
-        if size in tried:
+    """Blocks over elems with the given size multiset, minima increasing.
+
+    A depth-first loop over an explicit stack: the least free element opens
+    the next block, with each distinct size left in profile order and the
+    block's other elements in combinations order.
+    """
+    stack = [((), elems, sizes)]
+    while stack:
+        blocks, elems, sizes = stack.pop()
+        if not elems:
+            yield blocks
             continue
-        tried.add(size)
-        remaining_sizes = sizes[:i] + sizes[i + 1 :]
-        for others in combinations(rest, size - 1):
-            block = (first,) + others
-            chosen = set(others)
-            remaining = tuple(e for e in rest if e not in chosen)
-            for tail in _gen_profiled(remaining, remaining_sizes):
-                yield (block,) + tail
+        first, rest = elems[0], elems[1:]
+        children = []
+        tried: set[int] = set()
+        for i, size in enumerate(sizes):
+            if size in tried:
+                continue
+            tried.add(size)
+            remaining_sizes = sizes[:i] + sizes[i + 1 :]
+            for others in combinations(rest, size - 1):
+                chosen = set(others)
+                remaining = tuple(e for e in rest if e not in chosen)
+                children.append((blocks + ((first,) + others,), remaining, remaining_sizes))
+        stack.extend(reversed(children))
 
 
 def enumerate_profiled(p: Profile) -> list[Partition]:

@@ -273,29 +273,38 @@ def star_count(f: SetFamily, x: ElementSet) -> int:
 
 
 def _cover_exists(masks: list[int], min_elem: int, budget: int) -> bool:
-    """Can `masks` be hit by <= budget elements, all with index >= min_elem?"""
-    if not masks:
-        return True
-    if budget == 0:
-        return False
+    """Can `masks` be hit by <= budget elements, all with index >= min_elem?
+
+    A depth-first loop over an explicit stack of (members left, budget left,
+    untried branch elements).  Fail-first: a node branches on the uncovered
+    member with fewest allowed elements, in index order.
+    """
     avail = ~((1 << min_elem) - 1) if min_elem else -1
-    # fail-first: branch on the uncovered member with fewest allowed elements
-    best = None
-    best_cnt = None
-    for m in masks:
-        opts = m & avail
-        c = opts.bit_count()
-        if c == 0:
-            return False
-        if best_cnt is None or c < best_cnt:
-            best, best_cnt = opts, c
-            if c == 1:
-                break
-    for e in mask_indices(best):
-        rest = [m for m in masks if not (m >> e) & 1]
-        if _cover_exists(rest, min_elem, budget - 1):
+    stack = []
+    while True:
+        if not masks:
             return True
-    return False
+        if budget:
+            best = None
+            best_cnt = None
+            for m in masks:
+                opts = m & avail
+                c = opts.bit_count()
+                if best_cnt is None or c < best_cnt:
+                    best, best_cnt = opts, c
+                    if c <= 1:  # a member with no allowed element is a dead end
+                        break
+            if best:
+                stack.append((masks, budget - 1, iter(mask_indices(best))))
+        while stack:  # the next untried branch of the deepest node with one
+            parent, budget, branches = stack[-1]
+            e = next(branches, None)
+            if e is not None:
+                masks = [m for m in parent if not (m >> e) & 1]
+                break
+            stack.pop()
+        else:
+            return False
 
 
 def covering_number(f: SetFamily) -> tuple[int, ElementSet]:

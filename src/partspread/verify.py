@@ -15,12 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure, round_up_dyadic
-from .encoding import (
-    count_extensions,
-    edges_to_subpartition,
-    encode_family_edges,
-    encode_family_parts,
-)
+from .encoding import count_extensions, encode_family_edges, encode_family_parts
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
 from .extremal import canonical_family, has_block_containing
@@ -37,7 +32,7 @@ from .partitions import (
     u_count,
 )
 from .report import FAIL, FINDING, GATED, INFO, VACUOUS, CheckReport
-from .setfam import ElementSet, SetFamily
+from .setfam import SetFamily
 from .spread import candidate_counts, is_r_spread, spread_factor, spread_from_counts, weak_spread
 from . import guards
 
@@ -346,7 +341,7 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
         candidates = u_count(k, l) * 2 ** (l * math.comb(k, 2))
         guards.require("spread_candidate_max", candidates, "candidate sets")
         universe = enumerate_profiled(Profile.uniform(k, l))
-        u, fam = encode_family_edges(universe)
+        _, fam = encode_family_edges(universe)
         counts = candidate_counts(fam)
         rstar = spread_from_counts(fam, counts).r_star
         threshold = ExactPow(Fraction(l, 9), Fraction(2, 3 * k))
@@ -354,18 +349,17 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
             {"claim": "spread"}, f"{float(rstar):.6g}", f"(l/9)^(2/{3 * k})", "-",
             rstar >= threshold,
         )
-        # per-candidate scan: |F(E)| * l^m <= 9^m |F|
-        scan = [
-            (cnt, edges_to_subpartition(ElementSet(u, mask)).weight) for mask, cnt in counts.items()
-        ]
+        # |F(E)| l^m <= 9^m |F|: |F(E)| and m = sum(|c| - 1) depend only on the
+        # component sizes of E, and the candidates' shapes are the walked ones
+        weights = [(ext, sum(shape) - len(shape)) for shape, ext in _subpartition_shapes(k, l)]
         for claim, power, lhs_text in (
             ("extension-bound", 1, "min |F|9^m / (|F(E)| l^m)"),
             ("extension-bound-cube", 3, "min (|F|/|F(E)|)^3 9^m / l^m"),
         ):
             worst = min(
                 (
-                    Fraction(fam.size**power * 9**m, cnt**power * l**m)
-                    for cnt, m in scan
+                    Fraction(fam.size**power * 9**m, ext**power * l**m)
+                    for ext, m in weights
                     if power == 3 or 3 * m <= k * l
                 ),
                 default=None,

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -778,8 +779,9 @@ def test_integrity_error_propagates(monkeypatch):
 
 
 def test_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
-    # a clique of 1,716 vertices (the complete graph on u(7,2)) and a
-    # sunflower of 1,100 petals, each search deeper than Python's recursion limit
+    # a clique of 1,716 vertices (the complete graph on u(7,2)), a sunflower
+    # of 1,100 petals and a partition into 1,200 singletons, each search
+    # deeper than Python's recursion limit
     argv = "extremal oracle --setting uniform --k 7 --l 2 --predicate t-intersect --t 0"
     code, out = run_cli(capsys, *argv.split(), "--format", "structured-records")
     assert code == 0
@@ -793,6 +795,91 @@ def test_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
     _, _, core, _, petals, _ = out.rstrip("\n").split("\t")
     assert code == 0
     assert core == "[]" and petals.split(";") == [f"[{i}]" for i in range(1100)]
+    argv = ["enumerate", "profiled", "--profile", ",".join(["1"] * 1200), "--list"]
+    code, out = run_cli(capsys, *argv, "--format", "structured-records")
+    head, only = out.splitlines()
+    assert code == 0 and head.split("\t")[2] == "1"
+    assert only.split("\t")[2] == "Partition[" + "|".join(map(str, range(1, 1201))) + "]"
+
+
+@pytest.mark.parametrize(
+    "family, handoff",
+    [
+        # T_1 is one t-set: |A[T_0 minus W_0]| = 1 <= (q/r)|A[T]| is compared
+        ("kl:2,3", "reduction-handoff\ti=1,aT=3\t1\t3*3/r\t-\tpass"),
+        # no ambient member holds a set of T_0 minus W_0: lhs 0 passes without r
+        ("bell:4", "reduction-handoff\ti=1,aT=5\t0\t0\t-\tpass"),
+    ],
+)
+def test_reduction_handoff_report(capsys, family, handoff):
+    argv = ["reduce", "sequence", "--family", family, "--s", "0,1,2;0,3;1,3;2,3",
+            "--q", "3", "--t", "1", "--format", "structured-records"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert [l for l in lines if l.startswith("reduction-handoff")] == [handoff]
+    assert len(lines) == 16 and all(l.endswith(("pass", "info")) for l in lines)
+
+
+def test_profiled_family_spec_and_enumeration(capsys):
+    code, out = run_cli(capsys, "enumerate", "profiled", "--profile", "1,2,2", "--list")
+    rows = [l.split() for l in out.splitlines()[1:]]
+    assert code == 0 and rows[0][:3] == ["enumerate", "profile=1,2,2", "15"]
+    assert [r[2] for r in rows[1:3]] == ["Partition[1|2,3|4,5]", "Partition[1|2,4|3,5]"]
+    assert len(rows) == 16
+    code, out = run_cli(
+        capsys, "spread", "factor", "--family", "profiled:1,2,2", "--format", "structured-records"
+    )
+    assert code == 0
+    assert out == "spread-factor\tfamily=profiled:1,2,2,scanned=75\t2.4662121\t-\t[0, 1, 2]\tinfo\n"
+
+
+def test_reduce_dominance_reads_r(capsys):
+    # --r replaces the weak-spread r in the gate eps*r >= 24q only
+    argv = ["reduce", "dominance", "--family", "kl:2,3", "--s", "0,1;1,2;0,2", "--t", "1",
+            "--format", "structured-records"]
+    _, plain = run_cli(capsys, *argv)
+    code, given = run_cli(capsys, *argv, "--r", "96")
+    assert code == 0
+    assert plain.splitlines()[1].endswith("\tgated")
+    gate = "dominance-gate\tq=2,eps=1/2\teps*r\t48\t-\tpass"
+    assert given.splitlines() == [plain.splitlines()[0], gate]
+    assert run_cli(capsys, *argv, "--r", "95")[1] == plain
+
+
+def test_sunflower_scan_that_finds_none(capsys):
+    # K_6 has at most 5 disjoint perfect matchings, and only 3 hold any one
+    # edge: l = 6 scans every core and finds no sunflower
+    code, out = run_cli(
+        capsys, "spread", "sunflower", "--family", "kl:2,3", "--l", "6",
+        "--format", "structured-records",
+    )
+    assert code == 0 and out == "sunflower\tfamily=kl:2,3,l=6\tnone\t-\t-\tinfo\n"
+
+
+def test_approximate_rejects_a_family_outside_the_ambient(capsys):
+    argv = "approximate --family kl:2,4 --ambient ct:2,4,2 --r 2 --q 4".split()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --family is not a subfamily of --ambient\n"
+
+
+def _readme_examples() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of README's example block, run from a directory that
+    # holds the catalog file it names
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "instances.txt").write_text("partial 2 3 2 6 3\nbell - - 1 3 2\nblocks - 3 2 5 1\n")
+    examples = _readme_examples()
+    assert len(examples) == 10 and all(argv[0] == "partspread" for argv in examples)
+    for argv in examples:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    assert len((tmp_path / "results.txt").read_text().splitlines()) == 3
 
 
 def test_load_subfamily_encodes_over_the_ambient(tmp_path):

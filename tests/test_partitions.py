@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from partspread.partitions import (
     count_profiled,
     enumerate_into_blocks,
     enumerate_partitions,
+    _gen_profiled,
     enumerate_profiled,
     iter_partitions,
     partially_t_intersect,
@@ -210,6 +212,37 @@ def test_enumerate_profiled():
     assert len(enumerate_profiled(Profile((2, 2, 2)))) == 15 == u_count(2, 3)
     with pytest.raises(ResourceLimitError, match="PROFILED_ENUM_MAX"):
         enumerate_profiled(Profile((2,) * 12))
+
+
+def _gen_profiled_recursive(elems, sizes):
+    # _gen_profiled by recursion, one level per block: the reference for its order
+    if not elems:
+        yield ()
+        return
+    first, rest = elems[0], elems[1:]
+    tried = set()
+    for i, size in enumerate(sizes):
+        if size in tried:
+            continue
+        tried.add(size)
+        remaining_sizes = sizes[:i] + sizes[i + 1 :]
+        for others in combinations(rest, size - 1):
+            chosen = set(others)
+            remaining = tuple(e for e in rest if e not in chosen)
+            for tail in _gen_profiled_recursive(remaining, remaining_sizes):
+                yield ((first,) + others,) + tail
+
+
+def test_gen_profiled_matches_the_recursive_order():
+    # every profile with n <= 8, and uniform profiles past it
+    profiles = [prof.sizes for n in range(9) for prof in {p.profile() for p in iter_partitions(n)}]
+    profiles += [(k,) * l for k, l in ((2, 5), (2, 6), (3, 3), (3, 4), (4, 3))]
+    assert len(profiles) == 67 + 5
+    for sizes in profiles:
+        elems = tuple(range(1, sum(sizes) + 1))
+        got = list(_gen_profiled(elems, sizes))
+        assert got == list(_gen_profiled_recursive(elems, sizes)), sizes
+        assert len(got) == count_profiled(Profile(sizes))
 
 
 def test_count_profiled():

@@ -14,10 +14,12 @@ from partspread.setfam import (
     PartsUniverse,
     PlainUniverse,
     SetFamily,
+    _cover_exists,
     avoid,
     covering_number,
     family_from_text,
     family_to_text,
+    mask_indices,
     restrict,
     star_count,
     stars,
@@ -132,6 +134,38 @@ def test_covering_number_monotone():
         f = family_of(n, *members[:4])
         g = family_of(n, *members)
         assert covering_number(f)[0] <= covering_number(g)[0]
+
+
+def _cover_exists_recursive(masks, min_elem, budget):
+    # _cover_exists by recursion, one level per chosen element: its reference
+    if not masks:
+        return True
+    if budget == 0:
+        return False
+    avail = ~((1 << min_elem) - 1) if min_elem else -1
+    best = min((m & avail for m in masks), key=int.bit_count)
+    return any(
+        _cover_exists_recursive([m for m in masks if not (m >> e) & 1], min_elem, budget - 1)
+        for e in mask_indices(best)
+    )
+
+
+def test_cover_exists_matches_the_recursive_search():
+    rnd = random.Random(11)
+    for _ in range(300):
+        n = rnd.randint(1, 9)
+        masks = [rnd.randrange(1, 1 << n) for _ in range(rnd.randint(0, 8))]
+        for min_elem in range(n):
+            for budget in range(n + 1):
+                want = _cover_exists_recursive(masks, min_elem, budget)
+                assert _cover_exists(masks, min_elem, budget) == want, (masks, min_elem, budget)
+
+
+def test_cover_exists_has_no_recursion_limit():
+    # 1,200 disjoint singletons need a search 1,200 branches deep
+    masks = [1 << i for i in range(1200)]
+    assert _cover_exists(masks, 0, 1200)
+    assert not _cover_exists(masks, 0, 1199)
 
 
 def test_covering_number_errors():

@@ -9,8 +9,10 @@ from partspread.errors import DomainError, PreconditionError
 from partspread.bounds import ln_enclosure
 from partspread.partitions import Partition, Profile, bell, count_profiled, tilde_bell
 from partspread import verify
-from partspread.report import CheckReport, records_to_table
-from partspread.setfam import PlainUniverse, SetFamily
+from partspread.encoding import edges_to_subpartition, encode_family_edges
+from partspread.report import CheckReport, fmt, records_to_table
+from partspread.setfam import ElementSet, PlainUniverse, SetFamily
+from partspread.spread import candidate_counts
 from partspread.verify import (
     check_bell_ratio,
     check_dobinski,
@@ -257,6 +259,41 @@ def test_spreadness_kl_edges():
     assert spread_pt.verdict == "pass"
     rep = check_encoded_spreadness("kl-edges", k=3, l=2, mode="both")
     assert rep.verdict == "pass"
+
+
+def _union_find_extension_minima(k, l):
+    # the per-candidate reference: each candidate edge set's components by
+    # union-find, then min |F|^p 9^m / (|F(E)|^p l^m) for p = 1 and p = 3
+    u, fam = encode_family_edges(enumerate_uniform(k, l))
+    scan = [
+        (cnt, edges_to_subpartition(ElementSet(u, mask)).weight)
+        for mask, cnt in candidate_counts(fam).items()
+    ]
+    return [
+        min(
+            (
+                Fraction(fam.size**power * 9**m, cnt**power * l**m)
+                for cnt, m in scan
+                if power == 3 or 3 * m <= k * l
+            ),
+            default=None,
+        )
+        for power in (1, 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "k, l", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
+)
+def test_kl_edges_extension_bounds_match_the_union_find_scan(k, l):
+    # direct mode reads both minima from the shape walk; the margins it
+    # prints equal those of the per-candidate scan
+    rep = check_encoded_spreadness("kl-edges", k=k, l=l, mode="direct")
+    for claim, worst in zip(
+        ("extension-bound", "extension-bound-cube"), _union_find_extension_minima(k, l)
+    ):
+        (point,) = [p for p in rep.points if p.params.startswith(f"claim={claim},")]
+        assert point.margin == (fmt(worst - 1) if worst is not None else "-")
 
 
 def test_spreadness_kl_edges_formula_at_small_l_is_vacuous():
