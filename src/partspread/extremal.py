@@ -102,14 +102,11 @@ def canonical_family(
     else:
         # (universe, anchor block sizes, closed form); the closed form is
         # computed after the enumeration so that its guard refuses first
+        _require_fixed_singletons(setting, n, l, t)
         if setting == "bell":
-            if not 0 <= t <= n:
-                raise DomainError("need 0 <= t <= n")
             universe = enumerate_partitions(n)
             sizes, expected = [1] * t, bell(n - t)
         elif setting == "blocks":
-            if not 0 <= t <= l <= n:
-                raise DomainError("need 0 <= t <= l <= n")
             universe = enumerate_into_blocks(n, l)
             sizes, expected = [1] * t, stirling2(n - t, l - t)
         elif setting == "profiled":
@@ -129,6 +126,14 @@ def canonical_family(
             f"canonical family size {len(members)} != closed form {expected}"
         )
     return universe, members
+
+
+def _require_fixed_singletons(setting: str, n: int, l: int, t: int) -> None:
+    """Refuse t fixed singleton blocks that a bell or blocks universe cannot hold."""
+    if setting == "bell" and not 0 <= t <= n:
+        raise DomainError("need 0 <= t <= n")
+    if setting == "blocks" and not 0 <= t <= l <= n:
+        raise DomainError("need 0 <= t <= l <= n")
 
 
 def _partial_expected(profile: Profile, t: int) -> Optional[int]:
@@ -474,6 +479,12 @@ def run_catalog(text: str) -> list[Record]:
             universe, res, reference = _conjecture_step(k, l, t, enumerate_all=False)
             observed = len(universe) if res is None else res.max_size
         elif setting in ("bell", "blocks"):
+            # refused before the universe is enumerated, as `extremal oracle`
+            # refuses: the t range, the enumeration guard on n, then the
+            # oracle's guard on the closed-form size
+            _require_fixed_singletons(setting, n, l or 0, t)
+            guards.require("enum_max_n", n, "n")
+            require_oracle("t-intersect", t, bell(n) if setting == "bell" else stirling2(n, l))
             universe, members = canonical_family(setting, n=n, l=l or 0, t=t)
             observed = max_compatible_family(universe, "t-intersect", t).max_size
             reference = len(members)

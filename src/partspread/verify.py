@@ -409,9 +409,9 @@ def check_random_containment(
     against 1 - (5 / log2(r*delta))^m * ||F||.
 
     The family must be r-spread (verified first).  Trial t draws its
-    subset W from its own counter-based stream, the raw outputs of Philox
-    keyed by [seed, 0] from counter [0, 0, 0, t] on, so runs are
-    reproducible and order-independent.  With m*delta = num/den, the
+    subset W from its own counter-based stream, the raw outputs of
+    Philox4x64-10 keyed by [seed, 0] from counter [0, 0, 0, t] on, so runs
+    are reproducible and order-independent.  With m*delta = num/den, the
     outputs are read as w-bit words, w = 32 (low half first) when
     den <= 2^32 and 64 otherwise; a word x is dropped when
     (x * den) mod 2^w < (2^w - den) mod den, and the i-th word kept puts
@@ -419,7 +419,9 @@ def check_random_containment(
     probability is exactly m*delta.  The verdict compares the estimate
     minus three binomial standard errors against the bound, all in exact
     rationals; a nonpositive bound is reported as vacuous.  The seed must
-    fit a signed 64-bit integer, the range numpy keys one-to-one.
+    fit a signed 64-bit integer, so that the key seed mod 2^64 names one
+    seed.  W is the subset numpy's Generator draws from the same stream
+    (see sampler.hit_count); the sampler itself needs no numpy.
     """
     if not -(2**63) <= seed < 2**63:
         raise DomainError(f"seed {seed} is outside [-2^63, 2^63)")
@@ -447,12 +449,12 @@ def check_random_containment(
         log_hi = log2_enclosure(rd)[1]
         bound = 1 - (5 / log_hi) ** m * f.average_size()
 
+    # imported here: only this command draws, and every other command would
+    # pay for compiling the sampler at import
+    from .sampler import hit_count
+
     masks = f.masks
-    hits = 0
-    for w in _random_subsets(f.universe.size, num, den, trials, seed):
-        if any(mk & w == mk for mk in masks):
-            hits += 1
-    estimate = Fraction(hits, trials)
+    estimate = Fraction(hit_count(masks, f.universe.size, num, den, trials, seed), trials)
 
     if all(mk.bit_count() == 1 for mk in masks):
         closed = containment_closed_form(f, m, delta)
@@ -468,88 +470,6 @@ def check_random_containment(
         margin = estimate - bound
         rep.check(params, estimate, bound, margin, margin >= 0 and margin * margin >= 9 * stderr_sq)
     return rep
-
-
-def _word_rule(num: int, den: int, bits: int) -> tuple[int, int]:
-    """(reject_below, cut) for drawing an element into W with probability num/den
-    from uniform bits-wide words, 1 <= den <= 2^bits and 0 <= num <= den.
-
-    A word x is rejected, and the next word taken, when
-    (x * den) mod 2^bits < reject_below: the rejection of Lemire's bounded
-    draw, which numpy's Generator.integers uses.  An accepted x puts the
-    element in W when x < cut = ceil(num * 2^bits / den), which is the
-    bounded draw (x * den) >> bits falling below num.
-    """
-    return (2**bits - den) % den, -(-(num << bits) // den)
-
-
-# words the containment sampler holds per chunk of trials
-_CHUNK_WORDS = 2**15
-
-
-def _random_subsets(n: int, num: int, den: int, trials: int, seed: int):
-    """Yield each trial's random subset W of range(n) as a bitmask, by the
-    word rule of check_random_containment.
-
-    32-bit words come low half first, the order of numpy's next_uint32,
-    and rejection looks at a word alone, so W is exactly the subset
-    Generator(Philox(key=[seed, 0], counter=[0, 0, 0, t]))
-    .integers(0, den, n, dtype=uint64) < num.  Trials are drawn, compared
-    and packed in chunks of about _CHUNK_WORDS words.
-    """
-    # numpy is imported here alone, once every precondition of the check
-    # holds: no other code path needs it, and it would dominate the import
-    # time of every other command
-    import numpy as np
-    from numpy.random import Philox
-
-    bits = 32 if den <= 2**32 else 64
-    word = np.dtype(f"<u{bits // 8}")
-    reject_below, cut = _word_rule(num, den, bits)
-    scale = word.type(den) if reject_below else None  # den < 2^bits here
-    bitgen = Philox(key=[seed, 0])
-    state = bitgen.state  # buffer empty, has_uint32 clear
-    # plain ints: the state setter reads them faster than array items
-    counter = [0, 0, 0, 0]
-    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
-    state["buffer"] = state["buffer"].tolist()
-
-    def start(trial):
-        counter[3] = trial
-        bitgen.state = state
-
-    def words(raw):
-        # little-endian bytes on every host, so a 32-bit view is low half first
-        return raw.astype("<u8", copy=False).view(word)
-
-    def redraw(trial):
-        # the trial's stream with rejected words dropped, until n are kept
-        start(trial)
-        kept = np.empty(0, word)
-        while len(kept) < n:
-            need = -(-((n - len(kept)) << bits) // (2**bits - reject_below))
-            more = words(bitgen.random_raw(-(-need * bits // 64)))
-            kept = np.concatenate((kept, more[more * scale >= reject_below]))
-        return kept[:n]
-
-    raws = -(-n * bits // 64)
-    chunk = max(1, _CHUNK_WORDS // max(n, 1))
-    row = (n + 7) // 8
-    raw = np.empty((min(chunk, trials), raws), np.uint64)
-    for first in range(0, trials, chunk):
-        block = range(first, min(first + chunk, trials))
-        for i, trial in enumerate(block):
-            start(trial)
-            raw[i] = bitgen.random_raw(raws)
-        drawn = words(raw[: len(block)])[:, :n]
-        if reject_below:
-            # rows whose first n words hold a rejected one are drawn again
-            for i in np.flatnonzero((drawn * scale < reject_below).any(axis=1)):
-                drawn[i] = redraw(block[i])
-        # cut >= 1 as num >= 1, and cut - 1 fits a word where cut may not
-        packed = np.packbits(drawn <= cut - 1, axis=1, bitorder="little").tobytes()
-        for i in range(len(block)):
-            yield int.from_bytes(packed[i * row : (i + 1) * row], "little")
 
 
 def containment_closed_form(f: SetFamily, m: int, delta) -> Fraction:

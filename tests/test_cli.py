@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from conftest import enumerate_uniform
-from partspread import cli, guards, verify
+from partspread import cli, extremal, guards, verify
 from partspread.cli import load_family, load_subfamily, main
 from partspread.encoding import encode_edges, encode_family_edges, encode_parts
 from partspread.errors import DomainError, IntegrityError, ResourceLimitError
@@ -342,6 +342,27 @@ def test_oracle_refused_before_enumerating(monkeypatch, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("bell - - 2 10", "CLIQUE_VERTEX_MAX: vertices=115975 exceeds the guard 3000"),
+        ("bell - - 2 14", "ENUM_MAX_N: n=14 exceeds the guard 13"),
+        ("blocks - 4 1 9", "CLIQUE_VERTEX_MAX: vertices=7770 exceeds the guard 3000"),
+        ("blocks - 4 1 14", "ENUM_MAX_N: n=14 exceeds the guard 13"),
+        ("blocks - 4 5 9", "need 0 <= t <= l <= n"),
+    ],
+)
+def test_catalog_refused_before_enumerating(monkeypatch, tmp_path, capsys, line, message):
+    # a bell or blocks line is refused as `extremal oracle` refuses, before
+    # any enumerator runs
+    for name in ("enumerate_partitions", "enumerate_into_blocks", "enumerate_profiled"):
+        monkeypatch.setattr(extremal, name, lambda *args: pytest.fail("enumerated"))
+    cat = tmp_path / "instances.txt"
+    cat.write_text(line + "\n")
+    assert main(["extremal", "catalog", "--file", str(cat)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("guard", [[], ["--guard-enum", "1"]])
 def test_count_derangements_walks_no_partition(capsys, guard):
     # an inclusion-exclusion sum: no enumeration, so no enumeration guard
@@ -491,7 +512,7 @@ def test_enumerate_list_output_pinned(capsys, argv, digest):
         "count bell --n 5 --out {dir}",
         "approximate --family bell:3 --r 2 --q 2 --r0 3 --t 0",
         "approximate --family bell:3 --r 2 --q 2 --r0 3 --t -3",
-        # numpy keys a Philox stream faithfully only for -2^63 <= seed < 2^63
+        # a Philox key is the seed mod 2^64: one seed per key for -2^63 <= seed < 2^63
         "verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 --seed 18446744073709551616",
         "verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 --seed 9223372036854775809",
         "verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 --seed 18446744073709551615",
@@ -540,11 +561,30 @@ def test_stirling2_large_arguments(capsys):
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy is imported by the Monte Carlo check alone
-    code = "import sys, partspread.cli; sys.exit('numpy' in sys.modules)"
+    # no command imports numpy, the tests' reference only; and the sampler is
+    # compiled by the command that draws alone
+    code = (
+        "import sys, partspread.cli; "
+        "sys.exit('numpy' in sys.modules or 'partspread.sampler' in sys.modules)"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _containment_in_fresh_process(argv: str):
+    """Run verify containment on bell:4 in a new interpreter; its exit code is
+    10 * the CLI's code + whether numpy got imported."""
+    code = (
+        "import sys; from partspread.cli import main; "
+        "code = main(sys.argv[1:]); sys.exit(10 * code + ('numpy' in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    args = f"verify containment --family bell:4 --r 3/2 {argv}".split()
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
 
 
 @pytest.mark.parametrize(
@@ -557,19 +597,17 @@ def test_cli_import_leaves_numpy_out():
     ],
 )
 def test_refused_containment_leaves_numpy_out(argv, message):
-    # numpy is imported only once every precondition of the Monte Carlo check holds
-    code = (
-        "import sys; from partspread.cli import main; "
-        "code = main(sys.argv[1:]); sys.exit(10 * code + ('numpy' in sys.modules))"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    args = f"verify containment --family bell:4 --r 3/2 {argv}".split()
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
-    )
+    proc = _containment_in_fresh_process(argv)
     assert proc.returncode == 20
     assert proc.stdout == "" and message in proc.stderr
+
+
+def test_sampled_containment_leaves_numpy_out():
+    # a run that draws its trials, 32-bit and 64-bit words, with and without rejection
+    for delta in ("1/2", "1/3", "1099511627776/3298534883329"):
+        proc = _containment_in_fresh_process(f"--m 1 --delta {delta}")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "claim=containment" in proc.stdout
 
 
 PROFILE_200 = ",".join(["2"] * 200)
@@ -672,6 +710,12 @@ PROFILE_200 = ",".join(["2"] * 200)
         ("verify containment --family bell:4 --r 3/2 --m 1 --delta 1/2 "
          "--seed 9223372036854775807", 0,
          "22946af8eecca26ebac0c4a0d1e9c380a34d6f5bfd2905b30072560d1d920330"),
+        # an empty member, and the empty universe: every trial is a hit
+        ("verify containment --family file:{empty_member} --r 1 --m 1 --delta 1/3", 0,
+         "3aade37425322fdd1c6d15a41c09fa51d8bc62d785d200791e52f64bbac422e2"),
+        ("verify containment --family file:{empty_universe} --r 1 --m 1 --delta 1/2 "
+         "--trials 20000", 0,
+         "ce4de6a7fd7b7863c68bdaa1090bd20f84d1975f11c2d8a936d4059f9989f762"),
         ("verify nonintersect --k 3 --l 2 --t 2 --t-set 1,2 --y 1,3,5|2,4,6", 1,
          "6f4495773deeff51ce2fb5b5b3b5b859cd165d0eb4dfeddc29b1f8b0b97003fb"),
         ("verify nonintersect --k 3 --l 2 --t 2 --t-set 1,2 --y 1,3,5|2,4,6 "
@@ -684,10 +728,17 @@ def test_verify_output_pinned(capsys, tmp_path, argv, code, digest):
     # (the later containment digests: from the per-trial Generator sampler,
     # before the sampler read raw Philox words; bell --n 6 --t 2 and blocks
     # --n 7 --l 4 --t 1: since a report that asserts nothing reads vacuous;
-    # no-singleton: since its product is rounded up to a dyadic each step)
-    singletons = tmp_path / "singletons.txt"
-    singletons.write_text("N 4096\n" + "".join(f"{i}\n" for i in range(4096)), encoding="utf-8")
-    assert main(argv.format(singletons=singletons).split()) == code
+    # no-singleton: since its product is rounded up to a dyadic each step;
+    # the empty member and universe: from the raw-word numpy sampler)
+    paths = {}
+    for name, text in (
+        ("singletons", "N 4096\n" + "".join(f"{i}\n" for i in range(4096))),
+        ("empty_member", "N 3\n0 1\n\n"),
+        ("empty_universe", "N 0\n\n"),
+    ):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    assert main(argv.format(**paths).split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

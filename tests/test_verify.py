@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,16 @@ from hypothesis import example, given, strategies as st
 from conftest import enumerate_uniform, family_of, select
 from partspread.errors import DomainError, PreconditionError
 from partspread.bounds import ln_enclosure
-from partspread.partitions import Partition, Profile, bell, count_profiled, tilde_bell
-from partspread import verify
-from partspread.encoding import edges_to_subpartition, encode_family_edges
+from partspread.partitions import (
+    Partition,
+    Profile,
+    bell,
+    count_profiled,
+    enumerate_partitions,
+    tilde_bell,
+)
+from partspread import sampler, verify
+from partspread.encoding import edges_to_subpartition, encode_family_edges, encode_family_parts
 from partspread.report import CheckReport, fmt, records_to_table
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily
 from partspread.spread import candidate_counts
@@ -382,7 +390,8 @@ def test_containment_closed_form_domain():
 
 
 def _generator_subsets(n, num, den, trials, seed):
-    """Each trial's W by one Generator per trial, the sampler _random_subsets replaced."""
+    """Each trial's W by one numpy Generator per trial: the reference the
+    stdlib sampler reproduces."""
     import numpy as np
     from numpy.random import Generator, Philox
 
@@ -392,40 +401,87 @@ def _generator_subsets(n, num, den, trials, seed):
         yield int.from_bytes(np.packbits(draws < num, bitorder="little").tobytes(), "little")
 
 
+def _reference_hits(masks, n, num, den, trials, seed):
+    return sum(
+        any(mk & w == mk for mk in masks) for w in _generator_subsets(n, num, den, trials, seed)
+    )
+
+
+SEEDS = (-(2**63), -1, 0, 2**63 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_matches_random_raw(seed):
+    # word for word against numpy's Philox4x64-10, in one lane and in many
+    from numpy.random import Philox
+
+    keys = sampler._philox_keys(seed)
+    for trials in ([0], [1], [2**40], [0, 1, 2**40, 7]):
+        lanes = len(trials)
+        ones = sampler._packed([1] * lanes)
+        mask = sampler._packed([2**64 - 1] * lanes)
+        wide_keys = [sampler._packed([k] * lanes) for k in keys]
+        ids = sampler._packed(trials)
+        for block in range(1, 6):
+            outs = sampler._philox(block, ids, ones, mask, wide_keys)
+            for i, trial in enumerate(trials):
+                raw = Philox(key=[seed, 0], counter=[0, 0, 0, trial]).random_raw(4 * block)
+                got = [(c >> (128 * i)) & (2**64 - 1) for c in outs]
+                assert got == [int(x) for x in raw[-4:]]
+
+
+def _sampler_families(n, rng):
+    """Singletons, bell:4 parts-encoded in the low 15 elements, and random
+    members whose elements span several Philox blocks."""
+    families = [[1 << i for i in range(n)]]
+    if n >= 15:
+        families.append(list(encode_family_parts(enumerate_partitions(4))[1].masks))
+    if n > 1:
+        families.append(
+            [(1 << rng.randrange(n)) | (1 << rng.randrange(n)) | (1 << rng.randrange(n))
+             for _ in range(6)]
+        )
+    return families
+
+
 # 3 * 2^30 rejects one 32-bit word in four; 2^32 takes words as they come;
-# the last two draw 64-bit words
+# the last two draw 64-bit words, and 2^62 + 12345 rejects one in four
 SAMPLER_DENS = (1, 2, 3, 7, 64, 3 * 2**30, 2**32, 3 * 2**40 + 1, 2**62 + 12345)
 
 
 @pytest.mark.parametrize("n", (1, 15, 36, 37, 4096))
 @pytest.mark.parametrize("den", SAMPLER_DENS)
-def test_random_subsets_match_generator_draws(monkeypatch, den, n):
-    # chunks of 128 words: every run below crosses a chunk boundary
-    monkeypatch.setattr(verify, "_CHUNK_WORDS", 128)
-    trials = 128 // n + 2
-    for num in sorted({1, max(1, den // 3), max(1, den - 1), den}):
-        for seed in (-(2**63), -1, 0, 2**63 - 1):
-            args = (n, num, den, trials, seed)
-            assert list(verify._random_subsets(*args)) == list(_generator_subsets(*args))
+def test_hit_count_matches_generator_draws(monkeypatch, den, n):
+    # batches of 8 trials: every run below crosses a batch boundary
+    monkeypatch.setattr(sampler, "_LANES", 8)
+    rng = random.Random(den * 64 + n)
+    trials = 11 if n == 4096 else 40
+    for masks in _sampler_families(n, rng):
+        for num in sorted({1, max(1, den // 3), max(1, den - 1), den}):
+            for seed in SEEDS:
+                args = (n, num, den, trials, seed)
+                assert sampler.hit_count(masks, *args) == _reference_hits(masks, *args)
 
 
-def test_random_subsets_cross_a_full_chunk():
-    # at the shipped chunk size: 885 trials of 37 words fill a chunk
-    trials = verify._CHUNK_WORDS // 37 + 2
+def test_hit_count_crosses_a_full_batch():
+    # at the shipped batch size, and one word in four rejected
+    trials = sampler._LANES + 3
+    masks = [0b101, 0b11000, 1 << 36]
     for den, num in ((2, 1), (3 * 2**30, 2**30 + 1)):
         args = (37, num, den, trials, 11)
-        assert list(verify._random_subsets(*args)) == list(_generator_subsets(*args))
+        assert sampler.hit_count(masks, *args) == _reference_hits(masks, *args)
 
 
 def test_random_subsets_word_at_the_cut():
     # den = 2^32 takes words as they are: with num the first word of trial 0,
-    # that word lies at the cut exactly and leaves element 0 out of W
+    # that word lies at the cut exactly and leaves element 0 out of W, so the
+    # member {0} is missed; with num one more, it is hit
     from numpy.random import Philox
 
     num = int(Philox(key=[3, 0]).random_raw()) % 2**32
-    args = (4, num, 2**32, 1, 3)
-    (w,) = verify._random_subsets(*args)
-    assert [w] == list(_generator_subsets(*args)) and not w & 1
+    for below, hits in ((num, 0), (num + 1, 1)):
+        args = (4, below, 2**32, 1, 3)
+        assert sampler.hit_count([1], *args) == _reference_hits([1], *args) == hits
 
 
 def _bounded_draw(word: int, den: int, bits: int) -> tuple[bool, int]:
@@ -453,7 +509,7 @@ def _word_cases(draw):
 @example((64, 3 * 2**40 + 1, 2**40, 2**64 - 1))
 def test_word_rule_is_the_bounded_draw(case):
     bits, den, num, word = case
-    reject_below, cut = verify._word_rule(num, den, bits)
+    reject_below, cut = sampler._word_rule(num, den, bits)
     accepted, value = _bounded_draw(word, den, bits)
     assert accepted == ((word * den) % 2**bits >= reject_below)
     if accepted:
