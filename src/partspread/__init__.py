@@ -39,10 +39,7 @@ from .setfam import (
     stars,
 )
 from .encoding import (
-    SubPartition,
     count_extensions,
-    decode_parts,
-    edges_to_subpartition,
     encode_edges,
     encode_family_edges,
     encode_family_parts,

@@ -1,4 +1,4 @@
-"""Set encodings of partitions and subpartition machinery.
+"""Set encodings of partitions, and the count of partitions extending a subpartition.
 
 Two encodings are used.  Parts encoding: each block of a partition becomes
 one universe element, so a partition is the set of its blocks.  Edge
@@ -12,49 +12,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, IntegrityError
 from .partitions import Partition
 from .setfam import EdgesUniverse, ElementSet, PartsUniverse, SetFamily
-
-
-class SubPartition:
-    """Disjoint blocks of size >= 2; the weight is sum(|X_i| - 1)."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        blocks = [tuple(sorted(b)) for b in blocks]
-        seen: set[int] = set()
-        total = 0
-        for b in blocks:
-            if len(b) < 2:
-                raise DomainError("subpartition blocks must have size >= 2")
-            total += len(b)
-            seen.update(b)
-        if len(seen) != total:
-            raise DomainError("subpartition blocks are not disjoint")
-        blocks.sort(key=lambda b: b[0])
-        self.blocks = tuple(blocks)
-
-    @property
-    def weight(self) -> int:
-        return sum(len(b) - 1 for b in self.blocks)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SubPartition) and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash(self.blocks)
-
-    def __repr__(self) -> str:
-        body = "|".join(",".join(str(e) for e in b) for b in self.blocks)
-        return f"SubPartition[{body}]"
 
 
 def encode_parts(p: Partition, u: PartsUniverse) -> ElementSet:
@@ -67,13 +29,6 @@ def encode_parts(p: Partition, u: PartsUniverse) -> ElementSet:
     return ElementSet(u, mask)
 
 
-def decode_parts(es: ElementSet) -> Partition:
-    u = es.universe
-    if u.kind != "parts":
-        raise DomainError("decode_parts needs a parts-universe set")
-    return Partition([sorted(u.part_at(i)) for i in es.indices()], n=u.n)
-
-
 def encode_edges(p: Partition, u: EdgesUniverse) -> ElementSet:
     """All within-block pairs; size is sum over blocks of C(|block|, 2)."""
     if u.kind != "edges" or u.n != p.n:
@@ -83,32 +38,6 @@ def encode_edges(p: Partition, u: EdgesUniverse) -> ElementSet:
         for pair in combinations(b, 2):
             mask |= 1 << u.index_of(pair)
     return ElementSet(u, mask)
-
-
-def edges_to_subpartition(es: ElementSet) -> SubPartition:
-    """Blocks are the >=2-vertex connected components of the edge set."""
-    u = es.universe
-    if u.kind != "edges":
-        raise DomainError("edges_to_subpartition needs an edge-universe set")
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for idx in es.indices():
-        i, j = u.pair_at(idx)
-        parent.setdefault(i, i)
-        parent.setdefault(j, j)
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for v in parent:
-        comps.setdefault(find(v), []).append(v)
-    return SubPartition([c for c in comps.values() if len(c) >= 2])
 
 
 def count_extensions(k: int, l: int, sizes: Sequence[int]) -> int:

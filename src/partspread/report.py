@@ -70,7 +70,6 @@ class CheckReport:
     params: dict
     points: list[Record] = field(default_factory=list)
     gates: list[Record] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add(self, params: dict, lhs, rhs, margin, verdict: str) -> Record:
@@ -104,13 +103,13 @@ class CheckReport:
     @property
     def verdict(self) -> str:
         """The head, from the points with gates aside: fail if a point fails,
-        else finding if a point or `findings` reports one, else vacuous if a
-        point is vacuous or no point asserts anything (every one is info or
-        gated, or there is none), else pass."""
+        else finding if a point is one, else vacuous if a point is vacuous or
+        no point asserts anything (every one is info or gated, or there is
+        none), else pass."""
         verdicts = {r.verdict for r in self.points}
         if FAIL in verdicts:
             return FAIL
-        if FINDING in verdicts or self.findings:
+        if FINDING in verdicts:
             return FINDING
         if VACUOUS in verdicts or verdicts <= {INFO, GATED}:
             return VACUOUS

@@ -211,11 +211,21 @@ def _weak_spread_point(
 
 
 def _spreadness_bell(n, t, mode) -> CheckReport:
+    """The parts-encoded Bell family against r = n / (6 ln n).
+
+    The threshold is n / (6 ln_lo) rounded up to a dyadic
+    (bounds.round_up_dyadic), an upper bound of n / (6 ln n), so a pass
+    certifies.  The ratio chain B_n / B_(n-s) >= threshold^s compares with a
+    running power rounded up after each step, so rhs_s >= threshold^s.
+    """
     if n is None or n < 1:
         raise DomainError("bell setting needs n >= 1")
     rep = CheckReport("encoded-spreadness-bell", {"n": n, "t": t, "mode": mode})
-    ln_lo = ln_enclosure(Fraction(n))[0] if n >= 2 else None
-    threshold = Fraction(n) / (6 * ln_lo) if ln_lo else None  # upper bound of n / (6 ln n)
+    threshold = None
+    if n >= 2:
+        threshold = round_up_dyadic(Fraction(n) / (6 * ln_enclosure(Fraction(n))[0]))
+    else:
+        rep.notes.append("no threshold at n=1: ln 1 = 0 leaves n / (6 ln n) undefined")
     gate = n >= 50
     if mode in ("direct", "both"):
         _, fam = encode_family_parts(enumerate_partitions(n))
@@ -242,11 +252,15 @@ def _spreadness_bell(n, t, mode) -> CheckReport:
                 threshold / 2 if threshold else None, gate and t <= n // 2,
             )
     if mode in ("formula", "both") and threshold:
+        rhs = Fraction(1)
         for s in range(1, n + 1):
+            rhs = round_up_dyadic(rhs * threshold)
             rep.compare(
                 {"n": n, "s": s, "claim": "ratio-chain"},
-                Fraction(bell(n), bell(n - s)), threshold**s, asserted=gate,
+                Fraction(bell(n), bell(n - s)), rhs, asserted=gate,
             )
+        if mode == "formula" and not gate:
+            rep.notes.append(f"ratio chain claimed only for n >= 50; at n={n} it is informational")
     return rep
 
 
@@ -299,13 +313,12 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
         cap = l - t if s_max is None else min(s_max, l - t)
         stars = _profiled_star_counts(sizes, t)
         a_t = next(stars)
-        mismatches = []
         for s, a_ts in zip(range(1, cap + 1), stars):
             rhs = Fraction(l, 12) ** (2 * s)
             # the printed formula is the one the chain asserts; the
-            # multiplicity-corrected variant is reported alongside and a
-            # disagreement is surfaced as a finding, not a failure
-            printed, corrected = (
+            # multiplicity-corrected variant is reported alongside, and a
+            # miss there is a finding, not a failure
+            for variant, c, miss in (("printed", 0, FAIL), ("corrected", 1, FINDING)):
                 rep.compare(
                     {"s": s, "variant": variant},
                     Fraction(a_t[c], a_ts[c]),
@@ -313,16 +326,6 @@ def _spreadness_profiled(profile, t, s_max, mode) -> CheckReport:
                     asserted=gate,
                     miss=miss,
                 )
-                for variant, c, miss in (("printed", 0, FAIL), ("corrected", 1, FINDING))
-            )
-            if printed != corrected:
-                mismatches.append(s)
-        if mismatches:
-            rep.findings.append(
-                "multiplicity conventions disagree (printed vs corrected) at "
-                f"s in {mismatches[:10]}{'...' if len(mismatches) > 10 else ''}; "
-                "the printed chain is the asserted one"
-            )
     return rep
 
 

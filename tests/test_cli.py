@@ -611,6 +611,7 @@ def test_sampled_containment_leaves_numpy_out():
 
 
 PROFILE_200 = ",".join(["2"] * 200)
+PROFILE_600 = ",".join(["2"] * 600)
 
 
 @pinned(
@@ -641,13 +642,21 @@ PROFILE_200 = ",".join(["2"] * 200)
         ("verify stirling-growth --l-max 3 --n-cap 40 --format structured-records", 0,
          "0b2bc5b81b68cd087f6e4aa20d91a16339ee350b0703ec16cbc5cbb8817e386a"),
         ("verify spreadness --setting bell --n 6 --t 2", 0,
-         "4d34330dbc9f145d0bfd537c063ba6634765b2a4516d7cf9e3dea0dcf33421c0"),
+         "b0dc913d96b5a7a7fcc1981e099381a657d9caf0d818be433476b5cb695e7f90"),
         ("verify spreadness --setting bell --n 6 --t 2 --format structured-records", 0,
-         "ed1e59b19301b2390504b8e43794adc865c493bed9d2ed341498d0dfab6f74c6"),
+         "e061c69de2ebcadc55da15ece92708d795f141365c18e480fc3428827e7744f5"),
         ("verify spreadness --setting bell --n 50 --mode formula", 0,
-         "9dfc602a6a4dfb324de1c8086c6d82ed5d61764c4dc4f4331027cabc756d5a78"),
+         "4c32c9fecb3eb5e7cb83b6f38ca44460ae181b869e1c674748de09594acfd52e"),
         ("verify spreadness --setting bell --n 50 --mode formula --format structured-records", 0,
-         "65cf96f4b4816e0f2b6a02a21afc7430642205994c99d5fa70d488407b7b7eef"),
+         "b113bf794954695cdb4c8293e8f1ffe095f75f6e766607a71d83fbf478facb07"),
+        ("verify spreadness --setting bell --n 1", 0,
+         "066d39674d1d004690947f4966841f2faeeff9830641fb6659bee0ea7137f80c"),
+        ("verify spreadness --setting bell --n 1 --format structured-records", 0,
+         "dbe61da17701eaabfbc69f5b8b673299fc5bcbc98efff96a9a40abff660aac60"),
+        ("verify spreadness --setting bell --n 20 --mode formula", 0,
+         "e835c6e7db3a864ebb0132998ff294f39f22791f817cfe578d5efbb3169e157f"),
+        ("verify spreadness --setting bell --n 20 --mode formula --format structured-records", 0,
+         "77715d6017bfc1b9c811f42dd01189b01ae558e9be4e6ff9c419ae1d9eae02b8"),
         ("verify spreadness --setting blocks --n 7 --l 4 --t 1", 0,
          "bd1f988f4da674844fe261a8c08262b9089758b2d8a8a28454190fa2bb9c8148"),
         ("verify spreadness --setting blocks --n 7 --l 4 --t 1 --format structured-records", 0,
@@ -668,6 +677,12 @@ PROFILE_200 = ",".join(["2"] * 200)
         (f"verify spreadness --setting profiled --profile {PROFILE_200} --t 20 --s-max 100 "
          "--mode formula --format structured-records", 0,
          "c8038aaf587dcdd299184971fd9df1847f38d3203e4f428bb7fb373e605274eb"),
+        (f"verify spreadness --setting profiled --profile {PROFILE_600} --t 400 --s-max 3 "
+         "--mode formula", 0,
+         "742f666240f106eb0f8c1de3528d0b3ed228c3c54eabfdd433d024333e2515eb"),
+        (f"verify spreadness --setting profiled --profile {PROFILE_600} --t 400 --s-max 3 "
+         "--mode formula --format structured-records", 0,
+         "6ade29e4f3ca48f2f43eecc55eca2ac40f09c93b5688dd1251efb6e610f80af0"),
         ("verify spreadness --setting kl-edges --k 2 --l 1 --mode direct", 0,
          "0485685106bac4dc87c66a95d61ae9acb08d48755921d72ba64491035fca9601"),
         ("verify spreadness --setting kl-edges --k 2 --l 1 --mode direct "
@@ -726,10 +741,15 @@ PROFILE_200 = ",".join(["2"] * 200)
 def test_verify_output_pinned(capsys, tmp_path, argv, code, digest):
     # sha256 of the verify reports before their checks shared CheckReport.compare
     # (the later containment digests: from the per-trial Generator sampler,
-    # before the sampler read raw Philox words; bell --n 6 --t 2 and blocks
-    # --n 7 --l 4 --t 1: since a report that asserts nothing reads vacuous;
-    # no-singleton: since its product is rounded up to a dyadic each step;
-    # the empty member and universe: from the raw-word numpy sampler)
+    # before the sampler read raw Philox words; blocks --n 7 --l 4 --t 1:
+    # since a report that asserts nothing reads vacuous; no-singleton: since
+    # its product is rounded up to a dyadic each step; the empty member and
+    # universe: from the raw-word numpy sampler; bell --n 6 --t 2 and --n 50
+    # --mode formula: since the bell threshold and each power of its ratio
+    # chain are rounded up to a dyadic; bell --n 1 and --n 20 --mode formula:
+    # since those reports carry a note saying why they assert nothing; the
+    # gated 600-part profiled check: since its head reads vacuous, with no
+    # findings list to turn it to finding)
     paths = {}
     for name, text in (
         ("singletons", "N 4096\n" + "".join(f"{i}\n" for i in range(4096))),

@@ -4,12 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import enumerate_uniform
+from conftest import SubPartition, decode_parts, edges_to_subpartition, enumerate_uniform
 from partspread.encoding import (
-    SubPartition,
     count_extensions,
-    decode_parts,
-    edges_to_subpartition,
     encode_edges,
     encode_family_edges,
     encode_family_parts,

@@ -7,10 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import family_of, ksubsets_family, select
+from conftest import decode_parts, family_of, ksubsets_family, select
 from partspread import guards
 from partspread.approx import check_dominance
-from partspread.encoding import decode_parts
 from partspread.errors import DomainError, PreconditionError, ResourceLimitError
 from partspread.exact import ExactPow
 from partspread.partitions import Partition, bell

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import enumerate_uniform, family_of, select
+from conftest import edges_to_subpartition, enumerate_uniform, family_of, select
 from partspread.errors import DomainError, PreconditionError
 from partspread.bounds import ln_enclosure
+from partspread.exact import ExactPow
 from partspread.partitions import (
     Partition,
     Profile,
@@ -17,7 +18,7 @@ from partspread.partitions import (
     tilde_bell,
 )
 from partspread import sampler, verify
-from partspread.encoding import edges_to_subpartition, encode_family_edges, encode_family_parts
+from partspread.encoding import encode_family_edges, encode_family_parts
 from partspread.report import CheckReport, fmt, records_to_table
 from partspread.setfam import ElementSet, PlainUniverse, SetFamily
 from partspread.spread import candidate_counts
@@ -74,24 +75,22 @@ def test_compare_records_lhs_at_least_rhs():
 
 
 @pytest.mark.parametrize(
-    "verdicts, findings, overall",
+    "verdicts, overall",
     [
-        ((), False, "vacuous"),
-        (("pass", "info", "gated"), False, "pass"),
-        (("pass", "vacuous"), False, "vacuous"),
-        (("pass",), True, "finding"),
-        (("vacuous", "finding"), False, "finding"),
-        (("finding", "fail", "vacuous"), True, "fail"),
-        (("pass",), False, "pass"),
-        (("info", "gated"), False, "vacuous"),
+        ((), "vacuous"),
+        (("pass", "info", "gated"), "pass"),
+        (("pass", "vacuous"), "vacuous"),
+        (("pass", "finding"), "finding"),
+        (("vacuous", "finding"), "finding"),
+        (("finding", "fail", "vacuous"), "fail"),
+        (("pass",), "pass"),
+        (("info", "gated"), "vacuous"),
     ],
 )
-def test_finalize_takes_the_worst_point(verdicts, findings, overall):
+def test_finalize_takes_the_worst_point(verdicts, overall):
     rep = CheckReport("c", {})
     for v in verdicts:
         rep.add({}, "-", "-", "-", v)
-    if findings:
-        rep.findings.append("note")
     assert rep.verdict == overall
 
 
@@ -191,16 +190,80 @@ def test_spreadness_bell_direct():
 
 
 def test_spreadness_bell_n1_asserts_nothing():
-    # ln 1 = 0 leaves no threshold, so there is no point at all
+    # ln 1 = 0 leaves no threshold, so there is no point at all, and a note says so
     rep = check_encoded_spreadness("bell", n=1)
     assert rep.points == [] and rep.verdict == "vacuous"
+    assert rep.notes == ["no threshold at n=1: ln 1 = 0 leaves n / (6 ln n) undefined"]
 
 
 def test_spreadness_bell_formula():
     rep = check_encoded_spreadness("bell", n=30, mode="formula")
-    # all points informational below the gate: nothing is asserted
+    # all points informational below the gate: nothing is asserted, and a note says so
     assert rep.verdict == "vacuous"
     assert {p.verdict for p in rep.points} == {"info"}
+    assert rep.notes == ["ratio chain claimed only for n >= 50; at n=30 it is informational"]
+    # both modes keep the one direct-mode note
+    rep = check_encoded_spreadness("bell", n=5, mode="both")
+    assert len(rep.notes) == 1 and rep.notes[0].startswith("threshold claimed only")
+    assert check_encoded_spreadness("bell", n=50, mode="formula").notes == []
+
+
+def test_bell_rounding_keeps_every_verdict():
+    # the reference keeps the power exact.  The check rounds the threshold up
+    # once and the running power up at each step after the first (which is
+    # exact), so its excess over threshold^s is s - 1 roundings of at most
+    # 2^-127 each, and over (n / (6 ln_lo))^s, where the threshold's own
+    # rounding is raised to the s-th power, 2s - 1 of them
+    ulp = Fraction(1, 2**127)
+    for n in list(range(2, 81)) + [150]:
+        rep = check_encoded_spreadness("bell", n=n, mode="formula")
+        exact = Fraction(n) / (6 * ln_enclosure(Fraction(n))[0])
+        threshold = Fraction(rep.points[0].rhs)
+        assert [p.params for p in rep.points] == [
+            f"n={n},s={s},claim=ratio-chain" for s in range(1, n + 1)
+        ]
+        power, rounded_power = Fraction(1), Fraction(1)
+        for s, p in enumerate(rep.points, 1):
+            power *= exact
+            rounded_power *= threshold
+            lhs, rhs = Fraction(bell(n), bell(n - s)), Fraction(p.rhs)
+            assert p.lhs == fmt(lhs)
+            assert power <= rhs < power * (1 + 2 * s * ulp)
+            assert rhs < rounded_power * (1 + (s + 1) * ulp)
+            assert p.verdict == ("info" if n < 50 else "pass" if lhs >= power else "fail")
+    assert rep.verdict == "pass"
+    assert len(records_to_table(rep.records()).encode()) < 200_000
+
+
+def test_bell_rounding_keeps_the_direct_verdicts(monkeypatch):
+    # each r* and weak r the report compares, against the threshold before rounding
+    seen = []
+
+    def keep(fn, pick):
+        def wrapped(*args):
+            out = fn(*args)
+            seen.append(pick(out))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "spread_factor", keep(verify.spread_factor, lambda r: r.r_star))
+    monkeypatch.setattr(verify, "weak_spread", keep(verify.weak_spread, lambda r: r[1]))
+    for n in range(2, 10):
+        seen.clear()
+        rep = check_encoded_spreadness("bell", n=n, t=n // 2, mode="direct")
+        exact = Fraction(n) / (6 * ln_enclosure(Fraction(n))[0])
+        rstar, rweak = seen
+        assert [p.verdict for p in rep.points] == ["info", "info"]
+        holds = rstar >= ExactPow(exact)
+        assert rep.notes == [
+            f"threshold claimed only for n >= 50; at n={n} the comparison is "
+            f"informational ({'holds' if holds else 'does not hold'})"
+        ]
+        # the rounded threshold decides both comparisons as the exact one does
+        threshold = Fraction(rep.points[0].rhs)
+        assert holds == (rstar >= ExactPow(threshold))
+        assert (rweak >= ExactPow(exact / 2)) == (rweak >= ExactPow(threshold / 2))
 
 
 def test_spreadness_blocks():
@@ -244,7 +307,7 @@ def test_spreadness_profiled_gated_is_vacuous():
     rep = check_encoded_spreadness("profiled", profile=Profile((2,) * 5), t=3)
     assert [g.verdict for g in rep.gates] == ["gated"]
     assert {p.verdict for p in rep.points} == {"info"}
-    assert rep.verdict == "vacuous" and not rep.findings
+    assert rep.verdict == "vacuous"
 
 
 def test_spreadness_profiled_formula_conventions():
@@ -253,11 +316,10 @@ def test_spreadness_profiled_formula_conventions():
     )
     printed = [p for p in rep.points if "variant=printed" in p.params]
     assert printed and all(p.verdict == "pass" for p in printed)
-    # the corrected convention may disagree; when it does the report says so
+    # the corrected convention may disagree; when it does the head says so
     corrected = [p for p in rep.points if "variant=corrected" in p.params]
-    assert corrected
-    if any(p.verdict == "finding" for p in corrected):
-        assert rep.findings
+    assert corrected and {p.verdict for p in corrected} <= {"pass", "finding"}
+    assert rep.verdict == ("finding" if any(p.verdict == "finding" for p in corrected) else "pass")
 
 
 def test_spreadness_kl_edges():
