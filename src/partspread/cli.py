@@ -20,7 +20,7 @@ from .approx import (
     spread_approximate,
     verify_approx,
 )
-from .encoding import encode_family_edges, encode_family_parts
+from .encoding import encode_family_edges, encode_family_parts, spec_candidates
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .exact import parse_ratio
 from .extremal import (
@@ -119,6 +119,16 @@ def _spec_partitions(spec: str):
     raise DomainError(f"unknown family spec {spec!r}")
 
 
+def _spread_plan(spec: str):
+    """`encoding.spec_candidates` of a family spec; None where it does not parse."""
+    kind, _, rest = spec.partition(":")
+    try:
+        values = _parse_profile(rest).sizes if kind == "profiled" else _parse_int_list(rest)
+    except DomainError:
+        return None
+    return spec_candidates(kind, values)
+
+
 def load_family(spec: str, universe=None):
     """Build (universe, family) from a family spec string.
 
@@ -194,9 +204,21 @@ def _run_enumerate(args) -> list[Record]:
 
 
 def _run_spread(args) -> list[Record]:
-    _, fam = load_family(args.family)
+    # the candidate guard is asked before the spec is enumerated, after every
+    # check that came before it once the family was built
+    plan = _spread_plan(args.family) if args.what in ("factor", "check", "weak") else None
+    fam = None if plan else load_family(args.family)[1]
+    r = parse_ratio(_required(args, "r")) if args.what == "check" else None
+    t = _required(args, "t") if args.what == "weak" else None
+    shapes = None
+    if plan:
+        shapes, candidates, top = plan
+        # flags the scans refuse never reach the guard, so they do not ask it
+        if (r is None or r > 0) and (t is None or 0 <= t <= top):
+            guards.require("spread_candidate_max", candidates, "candidate sets")
+        fam = load_family(args.family)[1]
     if args.what == "factor":
-        rep = spread_factor(fam)
+        rep = spread_factor(fam, shapes)
         return [
             Record.make(
                 "spread-factor",
@@ -208,8 +230,7 @@ def _run_spread(args) -> list[Record]:
             )
         ]
     if args.what == "check":
-        r = parse_ratio(_required(args, "r"))
-        ok, witness = is_r_spread(fam, r)
+        ok, witness = is_r_spread(fam, r, shapes)
         return [
             Record.make(
                 "spread-check",
@@ -221,12 +242,12 @@ def _run_spread(args) -> list[Record]:
             )
         ]
     if args.what == "weak":
-        t_set, r, witness = weak_spread(fam, _required(args, "t"))
+        t_set, r_weak, witness = weak_spread(fam, t, shapes)
         return [
             Record.make(
                 "spread-weak",
                 {"family": args.family, "t": args.t, "T": str(t_set.indices())},
-                f"{float(r):.8g}",
+                f"{float(r_weak):.8g}",
                 "-",
                 "-" if witness is None else str(witness.indices()),
                 INFO,

@@ -276,11 +276,16 @@ def _gen_profiled(
         stack.extend(reversed(children))
 
 
-def enumerate_profiled(p: Profile) -> list[Partition]:
-    """All partitions of [sum(sizes)] whose block sizes match the profile."""
+def require_profiled(p: Profile) -> None:
+    """Refuse to enumerate a profile above profiled_enum_max partitions."""
     guards.require(
         "profiled_enum_max", count_profiled(p), f"partitions of profile {p.sizes}"
     )
+
+
+def enumerate_profiled(p: Profile) -> list[Partition]:
+    """All partitions of [sum(sizes)] whose block sizes match the profile."""
+    require_profiled(p)
     n = p.n
     elems = tuple(range(1, n + 1))
     return [Partition._trusted(n, bl) for bl in _gen_profiled(elems, p.sizes)]

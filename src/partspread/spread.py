@@ -9,10 +9,11 @@ point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
@@ -36,29 +37,101 @@ def candidate_counts(f: SetFamily) -> dict[int, int]:
     return counts
 
 
-def level_summary(counts: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Map each candidate size s to (max count at size s, least mask with it)."""
-    out: dict[int, tuple[int, int]] = {}
+def _least_ratio(
+    levels: dict[int, int], top: int, skip: int = 0
+) -> tuple[Optional[ExactPow], Optional[int]]:
+    """min over sizes s > skip of (top/levels[s])^(1/(s - skip)) and the s
+    taking it; ties keep the smaller s.  levels maps each size to its largest
+    count, from either level source."""
+    best: Optional[ExactPow] = None
+    best_s = None
+    for s in sorted(levels):
+        if s > skip:
+            value = ExactPow(Fraction(top, levels[s]), Fraction(1, s - skip))
+            if best is None or value < best:
+                best, best_s = value, s
+    return best, best_s
+
+
+def _scan_levels(counts: dict[int, int]):
+    """(levels, least, scanned) from a `candidate_counts` map: levels maps
+    each candidate size to its largest count, least(s) is the least mask of
+    size s with that count, and scanned is the number of candidates."""
+    summary: dict[int, tuple[int, int]] = {}
     for mask, cnt in counts.items():
         s = mask.bit_count()
-        best = out.get(s)
+        best = summary.get(s)
         if best is None or cnt > best[0] or (cnt == best[0] and mask < best[1]):
-            out[s] = (cnt, mask)
-    return out
+            summary[s] = (cnt, mask)
+    return {s: cnt for s, (cnt, _) in summary.items()}, lambda s: summary[s][1], len(counts)
 
 
-def _least_ratio(
-    levels: Iterable[tuple[int, tuple[int, int]]], top: int
-) -> tuple[Optional[ExactPow], Optional[int]]:
-    """min over (s, (cnt, mask)) of (top/cnt)^(1/s); ties keep the first level."""
-    best: Optional[ExactPow] = None
-    best_mask = None
-    for s, (cnt, mask) in levels:
-        value = ExactPow(Fraction(top, cnt), Fraction(1, s))
-        if best is None or value < best:
-            best = value
-            best_mask = mask
-    return best, best_mask
+def _shape_levels(f: SetFamily, shapes):
+    """(levels, least, scanned) as in `_scan_levels`, from the (shape, count,
+    number) walk of a parts-encoded f (`encoding.parts_shapes`); only least
+    reads the members.  Refused above spread_candidate_max on the sum of
+    2^|A| over members A, |F| + sum of count * number, first."""
+    total = f.size + sum(cnt * number for _, cnt, number in shapes)
+    guards.require("spread_candidate_max", total, "candidate sets")
+    levels: dict[int, int] = {}
+    for shape, cnt, _ in shapes:
+        if cnt > levels.get(len(shape), 0):
+            levels[len(shape)] = cnt
+    scanned = sum(number for _, _, number in shapes)
+    return levels, lambda s: _least_subset(f, shapes, s, levels[s]), scanned
+
+
+def _levels(f: SetFamily, shapes):
+    """The level source of f: the shape walk when given, else the scan."""
+    return _scan_levels(candidate_counts(f)) if shapes is None else _shape_levels(f, shapes)
+
+
+def _least_subset(f: SetFamily, shapes, s: int, least: int) -> int:
+    """Least s-subset of a member of a parts-encoded f whose shape (its block
+    sizes) has a count of at least `least` in f's shape walk.
+
+    By the lemma of `encoding.parts_shapes` the s-subsets of members are the
+    candidates of size s, and each has the count of its shape.  Within one
+    member, the least subset of a given shape takes, for each size c, the
+    lowest-indexed blocks of size c: for any other subset Y of that shape,
+    the highest element where Y and this choice differ is in Y, because each
+    block of size c the choice takes and Y does not lies below each block of
+    size c that Y takes and the choice does not.  When every shape of size s
+    qualifies, the least subset of a member is its s lowest bits.
+    """
+    level = [cnt for shape, cnt, _ in shapes if len(shape) == s]
+    targets = [Counter(shape) for shape, cnt, _ in shapes if len(shape) == s and cnt >= least]
+    members = [m for m in f.masks if m.bit_count() >= s]
+    if len(targets) == len(level):
+        return min(_lowest_bits(m, s) for m in members)
+    of_size: dict[int, int] = {}
+    for e in range(f.universe.size):
+        size = len(f.universe.part_at(e))
+        of_size[size] = of_size.get(size, 0) | 1 << e
+    best = None
+    for m in members:
+        for need in targets:
+            x = 0
+            for size, k in need.items():
+                held = m & of_size.get(size, 0)
+                if held.bit_count() < k:
+                    break
+                x |= _lowest_bits(held, k)
+            else:
+                if best is None or x < best:
+                    best = x
+    return best
+
+
+def _lowest_bits(mask: int, k: int) -> int:
+    """The k lowest set bits of a mask with at least k set bits."""
+    if mask.bit_count() == k:
+        return mask
+    low = 0
+    for _ in range(k):
+        bit = mask & -mask
+        low, mask = low | bit, mask ^ bit
+    return low
 
 
 def _violator(masks, index, alive: int, x: int, r: Fraction) -> Optional[int]:
@@ -90,11 +163,7 @@ def _violator(masks, index, alive: int, x: int, r: Fraction) -> Optional[int]:
     if least is not None:
         return least
     if deep < top:
-        return min(
-            sum(1 << e for e in mask_indices(m)[: deep + 1])
-            for m in members
-            if m.bit_count() > deep
-        )
+        return min(_lowest_bits(m, deep + 1) for m in members if m.bit_count() > deep)
     return None
 
 
@@ -154,48 +223,65 @@ class SpreadReport:
         )
 
 
-def spread_from_counts(f: SetFamily, counts: dict[int, int]) -> SpreadReport:
-    """spread_factor of f from its candidate_counts map."""
-    best, best_mask = _least_ratio(sorted(level_summary(counts).items()), f.size)
-    if best is None:
-        return SpreadReport(ExactPow.infinity(), None, 0)
-    return SpreadReport(best, ElementSet(f.universe, best_mask), len(counts))
+def spread_factor(f: SetFamily, shapes=None) -> SpreadReport:
+    """max r such that f is r-spread: min over X of (|F|/|F(X)|)^(1/|X|).
 
-
-def spread_factor(f: SetFamily) -> SpreadReport:
-    """max r such that f is r-spread: min over X of (|F|/|F(X)|)^(1/|X|)."""
+    The witness is the least mask at the first minimizing size.  With
+    `shapes`, the (shape, count, number) walk of a parts-encoded f
+    (`encoding.parts_shapes`), the level maxima and the candidate count come
+    from the shapes and only the witness from the members; without it,
+    from the `candidate_counts` scan.
+    """
     if f.size == 0:
         raise DomainError("spread factor of an empty family")
-    return spread_from_counts(f, candidate_counts(f))
+    levels, least, scanned = _levels(f, shapes)
+    best, s = _least_ratio(levels, f.size)
+    if best is None:
+        return SpreadReport(ExactPow.infinity(), None, 0)
+    return SpreadReport(best, ElementSet(f.universe, least(s)), scanned)
 
 
-def is_r_spread(f: SetFamily, r) -> tuple[bool, Optional[ElementSet]]:
+def is_r_spread(f: SetFamily, r, shapes=None) -> tuple[bool, Optional[ElementSet]]:
     """Exact test of |F(X)| * r^|X| <= |F| for all X; returns a violator if any.
 
     The violator is the least mask of the smallest violating size.  With
     r = p/q, a set X of size s violates exactly when |F(X)| > |F| q^s // p^s;
     only sets contained in more members than the least such threshold are
-    searched, which is exact because |F(X)| only falls as X grows.  Refused
-    above spread_candidate_max on the candidate count before any search.
+    searched, which is exact because |F(X)| only falls as X grows.  With
+    `shapes` (as in spread_factor) the smallest violating size comes from
+    the shapes and the violator from the members.  Refused above
+    spread_candidate_max on the candidate count before any search.
     """
     if f.size == 0:
         raise DomainError("spreadness of an empty family")
     r = as_fraction(r)
     if r <= 0:
         raise DomainError("is_r_spread needs r > 0")
-    index = partial(holders, map(mask_indices, f.masks))
-    mask = _violator(f.masks, index, (1 << f.size) - 1, 0, r)
+    if shapes is None:
+        index = partial(holders, map(mask_indices, f.masks))
+        mask = _violator(f.masks, index, (1 << f.size) - 1, 0, r)
+    else:
+        mask = None
+        levels, _, _ = _shape_levels(f, shapes)
+        p, q = r.numerator, r.denominator
+        for s in sorted(levels):
+            floor = f.size * q**s // p**s
+            if levels[s] > floor:
+                mask = _least_subset(f, shapes, s, floor + 1)
+                break
     if mask is None:
         return True, None
     return False, ElementSet(f.universe, mask)
 
 
-def weak_spread(a: SetFamily, t: int) -> tuple[ElementSet, ExactPow, Optional[ElementSet]]:
+def weak_spread(
+    a: SetFamily, t: int, shapes=None
+) -> tuple[ElementSet, ExactPow, Optional[ElementSet]]:
     """Best weak (r, t)-spreadness data of a family.
 
     Picks the t-set T maximizing |a(T)| (ties to the least mask) and returns the
     largest r such that |a(U)| <= r^(-s) |a(T)| for every (t+s)-set U with
-    s >= 1, together with the minimizing U.
+    s >= 1, together with the minimizing U.  `shapes` is as in spread_factor.
     """
     if t < 0:
         raise DomainError("weak_spread needs t >= 0")
@@ -203,14 +289,12 @@ def weak_spread(a: SetFamily, t: int) -> tuple[ElementSet, ExactPow, Optional[El
         raise DomainError("weak_spread of an empty family")
     if a.max_size() < t:
         raise DomainError(f"no member has size >= t = {t}")
-    levels = level_summary(candidate_counts(a))
-    t_count, best_t = levels[t] if t else (a.size, 0)
-    best, best_mask = _least_ratio(
-        ((s - t, levels[s]) for s in sorted(levels) if s > t), t_count
-    )
+    levels, least, _ = _levels(a, shapes)
+    t_count, best_t = (levels[t], least(t)) if t else (a.size, 0)
+    best, s = _least_ratio(levels, t_count, t)
     if best is None:
         return ElementSet(a.universe, best_t), ExactPow.infinity(), None
-    return ElementSet(a.universe, best_t), best, ElementSet(a.universe, best_mask)
+    return ElementSet(a.universe, best_t), best, ElementSet(a.universe, least(s))
 
 
 def peel_violators(f: SetFamily, r: Fraction) -> Iterator[tuple[int, int]]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .bounds import at_least_log2, e_enclosure, ln_enclosure, log2_enclosure, round_up_dyadic
-from .encoding import count_extensions, encode_family_edges, encode_family_parts
+from .encoding import encode_family_edges, encode_family_parts, extension_shapes
 from .errors import DomainError, PreconditionError
 from .exact import ExactPow, as_fraction
 from .extremal import canonical_family, has_block_containing
@@ -33,7 +33,7 @@ from .partitions import (
 )
 from .report import FAIL, FINDING, GATED, INFO, VACUOUS, CheckReport
 from .setfam import SetFamily
-from .spread import candidate_counts, is_r_spread, spread_factor, spread_from_counts, weak_spread
+from .spread import is_r_spread, spread_factor, weak_spread
 from . import guards
 
 
@@ -151,25 +151,6 @@ def _profiled_star_counts(sizes: Sequence[int], j: int) -> Iterator[tuple[int, i
         left[k] -= 1
         n -= k
     yield printed, corrected
-
-
-def _subpartition_shapes(k: int, l: int) -> list[tuple[tuple[int, ...], int]]:
-    """(shape, count_extensions) of each block-size multiset (a non-increasing
-    tuple, sizes in [2, k]) that some uniform (k,l) partition extends.
-
-    A depth-first loop over an explicit stack, each shape before those it
-    prefixes and smaller sizes first.  A shape that no partition extends
-    prefixes none that one does, so it is not grown.
-    """
-    shapes = []
-    stack = [(size,) for size in range(k, 1, -1)]
-    while stack:
-        shape = stack.pop()
-        ext = count_extensions(k, l, shape) if sum(shape) <= k * l else 0
-        if ext:
-            shapes.append((shape, ext))
-            stack.extend(shape + (size,) for size in range(shape[-1], 1, -1))
-    return shapes
 
 
 def check_encoded_spreadness(
@@ -345,8 +326,8 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
         guards.require("spread_candidate_max", candidates, "candidate sets")
         universe = enumerate_profiled(Profile.uniform(k, l))
         _, fam = encode_family_edges(universe)
-        counts = candidate_counts(fam)
-        rstar = spread_from_counts(fam, counts).r_star
+        factor = spread_factor(fam)
+        rstar = factor.r_star
         threshold = ExactPow(Fraction(l, 9), Fraction(2, 3 * k))
         rep.check(
             {"claim": "spread"}, f"{float(rstar):.6g}", f"(l/9)^(2/{3 * k})", "-",
@@ -354,7 +335,7 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
         )
         # |F(E)| l^m <= 9^m |F|: |F(E)| and m = sum(|c| - 1) depend only on the
         # component sizes of E, and the candidates' shapes are the walked ones
-        weights = [(ext, sum(shape) - len(shape)) for shape, ext in _subpartition_shapes(k, l)]
+        weights = [(ext, sum(shape) - len(shape)) for shape, ext in extension_shapes(k, l)]
         for claim, power, lhs_text in (
             ("extension-bound", 1, "min |F|9^m / (|F(E)| l^m)"),
             ("extension-bound-cube", 3, "min (|F|/|F(E)|)^3 9^m / l^m"),
@@ -368,7 +349,7 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
                 default=None,
             )
             rep.check(
-                {"claim": claim, "candidates": len(counts)},
+                {"claim": claim, "candidates": factor.scanned},
                 lhs_text,
                 1,
                 worst - 1 if worst is not None else "-",
@@ -377,7 +358,7 @@ def _spreadness_kl_edges(k, l, mode) -> CheckReport:
             )
     if mode in ("formula", "both"):
         u_full = u_count(k, l)
-        for shape, ext in _subpartition_shapes(k, l):
+        for shape, ext in extension_shapes(k, l):
             m_x = sum(shape) - len(shape)
             for claim, power, rhs in (
                 ("ratio", 1, Fraction(9, l) ** m_x),

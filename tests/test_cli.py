@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -445,6 +446,109 @@ def test_kl_edges_candidate_closed_form_matches_the_scan(capsys):
     assert capsys.readouterr().err == f"error: {info.value}\n"
     argv = argv.replace("119", "120")
     assert main(argv.split()) == 0
+
+
+def _profiles(n: int, top: int):
+    """Non-decreasing tuples of positive sizes at most top summing to n."""
+    if n == 0:
+        yield ()
+    for size in range(1, min(n, top) + 1):
+        for rest in _profiles(n - size, size):
+            yield rest + (size,)
+
+
+SHAPE_SPECS = (
+    [f"bell:{n}" for n in range(8)]
+    + [f"blocks:{n},{l}" for n in range(1, 8) for l in range(1, n + 1)]
+    + ["profiled:" + ",".join(map(str, p)) for n in range(1, 7) for p in _profiles(n, n)]
+)
+
+
+@pytest.mark.parametrize("spec", SHAPE_SPECS)
+def test_spread_on_parts_specs_matches_the_scan(monkeypatch, capsys, spec):
+    # the shape path against the candidate_counts scan: r*, scanned=, T,
+    # witnesses, stderr and exit codes, with t one past the largest member
+    _, _, top = cli._spread_plan(spec)
+    argvs = [["factor"]] + [["weak", "--t", str(t)] for t in range(top + 2)]
+    argvs += [["check", "--r", r] for r in ("1", "3/2", "2", "3", "5", "12")]
+
+    def outcomes():
+        for argv in argvs:
+            code = main(["spread", *argv, "--family", spec])
+            yield code, *capsys.readouterr()
+
+    shaped = list(outcomes())
+    monkeypatch.setattr(cli, "_spread_plan", lambda spec: None)
+    assert shaped == list(outcomes())
+
+
+@pytest.mark.parametrize(
+    "spec, candidates",
+    [
+        ("bell:11", 33827974),
+        ("bell:12", 273646526),
+        ("bell:13", 2326980998),
+        ("blocks:13,5", 240272032),
+        ("kl:5,3", 135426761293824),
+        ("ct:4,4,2", 91 * 5775 * 2**24),
+    ],
+)
+def test_spread_refused_before_enumerating(monkeypatch, capsys, spec, candidates):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("enumerated before the candidate guard")
+
+    for module, name in ((cli, "enumerate_partitions"), (cli, "enumerate_into_blocks"),
+                         (cli, "enumerate_profiled"), (extremal, "enumerate_profiled")):
+        monkeypatch.setattr(module, name, counted)
+    for argv in (["factor"], ["check", "--r", "2"], ["weak", "--t", "1"]):
+        start = time.perf_counter()
+        assert main(["spread", *argv, "--family", spec]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: SPREAD_CANDIDATE_MAX: candidate sets={candidates} exceeds the guard 10000000\n"
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the enumeration guards still refuse first
+        ("factor --family bell:14", "ENUM_MAX_N: n=14 exceeds the guard 13"),
+        ("weak --family blocks:14,3 --t 1", "ENUM_MAX_N: n=14 exceeds the guard 13"),
+        ("factor --family kl:5,3 --guard-profiled 10",
+         "PROFILED_ENUM_MAX: partitions of profile (5, 5, 5)=126126 exceeds the guard 10"),
+        ("check --family profiled:1,2,3 --r 2 --guard-profiled 10",
+         "PROFILED_ENUM_MAX: partitions of profile (1, 2, 3)=60 exceeds the guard 10"),
+        # so do the spec's own checks and the flags the scans refuse
+        ("factor --family blocks:3,5 --guard-spread 1", "need 1 <= l <= n, got l=5, n=3"),
+        ("factor --family kl:1,1 --guard-spread 0", "edge universe needs n >= 2"),
+        ("factor --family ct:2,3,3 --guard-spread 1", "anchor T larger than every block"),
+        ("check --family bell:5 --guard-spread 1", "spread check needs --r"),
+        ("check --family bell:5 --r 0 --guard-spread 1", "is_r_spread needs r > 0"),
+        ("weak --family bell:5 --t 6 --guard-spread 1", "no member has size >= t = 6"),
+        ("weak --family bell:5 --t -1 --guard-spread 1", "weak_spread needs t >= 0"),
+    ],
+)
+def test_spread_guard_order(capsys, argv, message):
+    assert main(["spread", *argv.split()]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["bell:5", "blocks:6,3", "profiled:1,2,2", "kl:2,3", "ct:2,3,1"])
+def test_spread_closed_form_candidates_match_the_scan(capsys, spec):
+    _, fam = load_family(spec)
+    total = sum(2 ** m.bit_count() for m in fam.masks)
+    with guards.limited(spread_candidate_max=total - 1):
+        with pytest.raises(ResourceLimitError) as info:
+            candidate_counts(fam)
+    argv = ["spread", "factor", "--family", spec, "--guard-spread"]
+    assert main(argv + [str(total - 1)]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert main(argv + [str(total)]) == 0
 
 
 def test_approximate_huge_r_builds_no_power(capsys):

@@ -1,28 +1,33 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SubPartition, decode_parts, edges_to_subpartition, enumerate_uniform
+from partspread.cli import _spread_plan, load_family
 from partspread.encoding import (
     count_extensions,
     encode_edges,
     encode_family_edges,
     encode_family_parts,
     encode_parts,
+    extension_shapes,
 )
 from partspread.errors import DomainError
 from partspread.partitions import (
     Partition,
+    bell,
     enumerate_partitions,
     iter_partitions,
     partially_t_intersect,
+    stirling2,
     u_count,
 )
 from partspread.setfam import EdgesUniverse, ElementSet, PartsUniverse
 from partspread.spread import candidate_counts
-from partspread.verify import _subpartition_shapes
 
 
 def test_encode_parts_sizes():
@@ -175,7 +180,7 @@ def test_count_extensions_against_the_grouping_sum():
     cases = 0
     for k in range(2, 6):
         for l in range(1, 16 // k + 1):
-            for shape, _ in _subpartition_shapes(k, l):
+            for shape, _ in extension_shapes(k, l):
                 for sizes in (shape, shape[::-1]):
                     assert count_extensions(k, l, sizes) == _grouping_sum(k, l, sizes), sizes
                     cases += 1
@@ -193,10 +198,93 @@ def test_formula_shapes_are_the_candidate_shapes(k, l):
         for x in candidate_counts(fam)
         if x
     }
-    shapes = _subpartition_shapes(k, l)
+    shapes = extension_shapes(k, l)
     assert {shape for shape, _ in shapes} == candidates
     assert len(shapes) == len(candidates)
     assert all(ext == count_extensions(k, l, shape) for shape, ext in shapes)
+
+
+def _extension_shapes_recounted(k, l):
+    """The walk with count_extensions run afresh for each shape."""
+    shapes = []
+    stack = [(size,) for size in range(k, 1, -1)]
+    while stack:
+        shape = stack.pop()
+        ext = count_extensions(k, l, shape) if sum(shape) <= k * l else 0
+        if ext:
+            shapes.append((shape, ext))
+            stack.extend(shape + (size,) for size in range(shape[-1], 1, -1))
+    return shapes
+
+
+@pytest.mark.parametrize("k, l", [(3, 12), (4, 8), (6, 8)])
+def test_extension_shapes_match_the_recounted_walk(k, l):
+    # each shape places one block onto its prefix's load states
+    assert extension_shapes(k, l) == _extension_shapes_recounted(k, l)
+
+
+# ---------------------------------------------------------------------------
+# parts-encoded specs from block-size shapes
+
+
+def _parts_specs():
+    bells = st.integers(0, 6).map(lambda n: f"bell:{n}")
+    blocks = st.integers(1, 7).flatmap(
+        lambda n: st.integers(1, n).map(lambda l: f"blocks:{n},{l}")
+    )
+    profiles = st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(lambda p: sum(p) <= 7)
+    profiled = profiles.map(lambda p: "profiled:" + ",".join(map(str, sorted(p))))
+    return st.one_of(bells, blocks, profiled)
+
+
+def _shape(u, mask):
+    return tuple(sorted((len(u.part_at(e)) for e in ElementSet(u, mask).indices()), reverse=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7))
+def test_bell_shapes_count_the_candidates(n):
+    shapes, candidates, top = _spread_plan(f"bell:{n}")
+    _, fam = load_family(f"bell:{n}")
+    scanned = len(candidate_counts(fam))
+    assert sum(number for _, _, number in shapes) == scanned == bell(n + 1) - 1
+    total = sum(2 ** m.bit_count() for m in fam.masks)
+    assert candidates == total == sum(stirling2(n, k) * 2**k for k in range(n + 1))
+    assert top == n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_blocks_shapes_count_the_candidates(nl):
+    n, l = nl
+    shapes, candidates, top = _spread_plan(f"blocks:{n},{l}")
+    _, fam = load_family(f"blocks:{n},{l}")
+    assert sum(number for _, _, number in shapes) == len(candidate_counts(fam))
+    assert candidates == sum(2 ** m.bit_count() for m in fam.masks) == stirling2(n, l) * 2**l
+    assert top == l
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parts_specs())
+def test_candidates_of_one_shape_share_its_count(spec):
+    # the lemma of parts_shapes: all X of one shape share one count, and X
+    # lies in a member exactly when that count is positive
+    shapes, _, _ = _spread_plan(spec)
+    u, fam = load_family(spec)
+    seen: dict[tuple[int, ...], list[int]] = {}
+    for mask, cnt in candidate_counts(fam).items():
+        seen.setdefault(_shape(u, mask), []).append(cnt)
+    assert {shape: set(c) for shape, c in seen.items()} == {
+        shape: {cnt} for shape, cnt, _ in shapes
+    }
+    # every set of pairwise-disjoint blocks of a walked shape is a candidate:
+    # the blocks of a partition of [n + 1] that miss n + 1 are each such set once
+    n = fam.universe.n
+    disjoint = Counter(
+        tuple(sorted((len(b) for b in p.blocks if n + 1 not in b), reverse=True))
+        for p in iter_partitions(n + 1)
+    )
+    assert all(len(seen[shape]) == number == disjoint[shape] for shape, _, number in shapes)
 
 
 def test_count_extensions_examples():

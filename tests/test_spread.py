@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import decode_parts, family_of, ksubsets_family, select
 from partspread import guards
 from partspread.approx import check_dominance
+from partspread.cli import _spread_plan, load_family
 from partspread.errors import DomainError, PreconditionError, ResourceLimitError
 from partspread.exact import ExactPow
 from partspread.partitions import Partition, bell
@@ -399,6 +400,43 @@ def test_weak_spread_matches_reference(masks):
             assert r.infinite and witness is None
         else:
             assert r == best and witness.mask == best_mask
+
+
+PARTS_SPECS = [
+    "bell:0", "bell:1", "bell:4", "bell:6", "blocks:5,1", "blocks:6,3", "blocks:7,4",
+    "blocks:6,6", "profiled:3,3", "profiled:1,2,3", "profiled:2,2,3", "profiled:1,1,2,2",
+    "profiled:1,1,1,3", "profiled:1,2,2,3",
+]
+
+
+@pytest.mark.parametrize("spec", PARTS_SPECS)
+def test_parts_shapes_match_the_scan(spec):
+    # the level maxima from the shapes, the witnesses from the least-subset
+    # search, against the candidate_counts scan of the same family
+    shapes, _, top = _spread_plan(spec)
+    _, f = load_family(spec)
+    got, want = spread_factor(f, shapes), spread_factor(f)
+    assert (got.r_star, got.witness, got.scanned) == (want.r_star, want.witness, want.scanned)
+    for t in range(top + 1):
+        assert weak_spread(f, t, shapes) == weak_spread(f, t)
+    for r in ("1/2", "1", "3/2", "2", "5/2", "3", "4", "6", "10", "40"):
+        assert is_r_spread(f, Fraction(r), shapes) == is_r_spread(f, Fraction(r))
+
+
+def test_parts_shapes_ask_the_candidate_guard():
+    # |F| + sum of count * number is the sum of 2^|A| the scan is refused on
+    shapes, candidates, _ = _spread_plan("blocks:6,3")
+    _, f = load_family("blocks:6,3")
+    with guards.limited(spread_candidate_max=candidates - 1):
+        for scan in (
+            lambda: spread_factor(f, shapes),
+            lambda: is_r_spread(f, 2, shapes),
+            lambda: weak_spread(f, 1, shapes),
+        ):
+            with pytest.raises(ResourceLimitError, match=f"candidate sets={candidates} "):
+                scan()
+    with guards.limited(spread_candidate_max=candidates):
+        assert spread_factor(f, shapes).scanned == len(candidate_counts(f))
 
 
 @settings(max_examples=200, deadline=None)
